@@ -72,8 +72,12 @@ def exact_step(x_star, a, b, lam):
 
     Optimality means g(t) := <a, soft_shrink(x* - t a, lam)> - b = 0.  g is
     continuous, piecewise linear and nonincreasing in t, with kinks only at
-    the <= 2n points where x*_j - t a_j = +-lam.  We locate the bracketing
-    segment from the sorted kinks and solve the linear piece exactly.
+    the <= 2n points where x*_j - t a_j = +-lam.  Component j is shrunk to
+    zero between its two kinks and contributes slope -a_j^2 outside them, so
+    one sort of the kinks and a cumulative sum of the slope changes estimate
+    g at every kink in O(n log n).  The estimates only pick the bracketing
+    segment: g is evaluated exactly at its two kinks (stepping outward if an
+    estimate had the wrong sign) and the linear piece is solved from those.
     """
     x_star = np.asarray(x_star, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -81,42 +85,58 @@ def exact_step(x_star, a, b, lam):
     if a_sq == 0.0:
         raise DegenerateDirection("a must be nonzero")
 
-    live = a != 0
     if lam == 0.0:
         # Quadratic case: g(t) = <a, x*> - t ||a||^2 - b.
         return (float(np.dot(a, x_star)) - b) / a_sq
 
-    bps = np.concatenate(
-        [
-            (x_star[live] - lam) / a[live],
-            (x_star[live] + lam) / a[live],
-        ]
-    )
-    bps = np.unique(bps)
-    # evaluate g at every kink in one shot; components with a_j = 0 never
-    # contribute to the inner product
+    # components with a_j = 0 never contribute to the inner product
+    live = a != 0
     a_live = a[live]
-    Z = x_star[live][None, :] - bps[:, None] * a_live[None, :]
-    gvals = soft_shrink(Z, lam) @ a_live - b
+    x_live = x_star[live]
+    lower = (x_live - lam) / a_live
+    upper = (x_live + lam) / a_live
+    a2 = a_live * a_live
+    kinks = np.concatenate([np.minimum(lower, upper), np.maximum(lower, upper)])
+    order = np.argsort(kinks)
+    kinks = kinks[order]
+    # slope of g right of each kink: -||a||^2, +a_j^2 on entering component
+    # j's dead zone, -a_j^2 on leaving it
+    slope = np.cumsum(np.concatenate([a2, -a2])[order]) - a_sq
+    # up to the first kink every live component is active
+    g_start = (float(np.dot(a_live, x_live)) - lam * float(np.abs(a_live).sum())
+               - b - kinks[0] * a_sq)
+    g_est = g_start + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(kinks))])
 
-    if gvals[0] <= 0.0:
+    def g(ts):
+        Z = x_live[None, :] - ts[:, None] * a_live[None, :]
+        return soft_shrink(Z, lam) @ a_live - b
+
+    last = kinks.size - 1
+    hi = min(max(int(np.argmax(g_est <= 0.0)), 1), last)
+    lo = hi - 1
+    g_first, g_lo, g_hi, g_last = g(kinks[[0, lo, hi, last]])
+
+    if g_first <= 0.0:
         # Root left of every kink, where all live components are active and
         # the slope is -||a||^2.
-        return bps[0] + gvals[0] / a_sq
-    if gvals[-1] > 0.0:
+        return kinks[0] + g_first / a_sq
+    if g_last > 0.0:
         # Root right of every kink; slope is again -||a||^2 out there.
-        return bps[-1] + gvals[-1] / a_sq
+        return kinks[-1] + g_last / a_sq
 
-    # g is nonincreasing: first kink with g <= 0 closes the bracket.
-    hi = int(np.argmax(gvals <= 0.0))
-    lo = hi - 1
-    g_lo, g_hi = gvals[lo], gvals[hi]
+    # g is nonincreasing: the bracket is g(lo) > 0 >= g(hi) on adjacent kinks.
+    while g_hi > 0.0 and hi < last:
+        lo, hi, g_lo = hi, hi + 1, g_hi
+        g_hi = g(kinks[hi:hi + 1])[0]
+    while g_lo <= 0.0 and lo > 0:
+        lo, hi, g_hi = lo - 1, lo, g_lo
+        g_lo = g(kinks[lo:lo + 1])[0]
     if g_hi == 0.0:
-        return float(bps[hi])
+        return float(kinks[hi])
     if g_lo == g_hi:
         # Flat zero segment; kink convention.
-        return float(bps[lo])
-    return float(bps[lo] + g_lo * (bps[hi] - bps[lo]) / (g_lo - g_hi))
+        return float(kinks[lo])
+    return float(kinks[lo] + g_lo * (kinks[hi] - kinks[lo]) / (g_lo - g_hi))
 
 
 def bregman_project_hyperplane(x, x_star, a, b, lam):

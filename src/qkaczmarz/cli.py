@@ -153,14 +153,14 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args, parser):
+def _apply_config_file(args, parser, argv):
     if not args.config:
         return
     if not os.path.exists(args.config):
         parser._fail(f"config file {args.config!r} not found")
     explicit = {
         a.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for a in sys.argv[1:]
+        for a in argv
         if a.startswith("--")
     }
     with open(args.config) as fh:
@@ -514,8 +514,9 @@ def cmd_spectral(args, parser):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser)
+    _apply_config_file(args, parser, argv)
     handlers = {
         "generate": cmd_generate,
         "solve": cmd_solve,

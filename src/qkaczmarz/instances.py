@@ -71,7 +71,7 @@ def generate_gaussian(spec):
     spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     A_raw = rng.standard_normal((spec.m, spec.n))
-    A, _ = matrices.normalize_rows(A_raw)
+    A, _ = matrices.normalize_rows(A_raw, out=A_raw)
     support = np.sort(rng.choice(spec.n, size=spec.sparsity, replace=False))
     x_hat = np.zeros(spec.n)
     x_hat[support] = rng.standard_normal(spec.sparsity)
@@ -114,7 +114,7 @@ def from_files(matrix_path, x_hat_path=None, rhs_path=None, beta=0.0,
     A_raw = matrices.mm_read(matrix_path)
     if A_raw.ndim != 2:
         raise DimensionMismatch("matrix file does not hold a 2-D matrix")
-    A, scales = matrices.normalize_rows(A_raw)
+    A, scales = matrices.normalize_rows(A_raw, out=A_raw)
     if (x_hat_path is None) == (rhs_path is None):
         raise SpecInvalid("exactly one of x_hat_path / rhs_path is required")
     if x_hat_path is not None:

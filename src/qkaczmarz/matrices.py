@@ -18,6 +18,9 @@ from .errors import (
 
 # Relative threshold below which a row counts as zero for normalization.
 ZERO_ROW_RTOL = 1e-14
+# Rows whose squares normalize_rows sums at a time: no temporary of A's size,
+# and the same sums as np.linalg.norm(A, axis=1), bit for bit.
+_NORM_BLOCK_ROWS = 256
 
 
 def as_matrix(a):
@@ -40,21 +43,26 @@ def as_vector(v):
     return v
 
 
-def normalize_rows(A):
+def normalize_rows(A, out=None):
     """Scale every row of A to unit Euclidean norm.
 
     Returns (normalized matrix, scales) where `scales` holds the original row
     norms.  Right-hand sides built against A must be divided by `scales` by
     the caller.  Raises ZeroRow if any row norm falls below
-    ZERO_ROW_RTOL * max row norm.
+    ZERO_ROW_RTOL * max row norm.  A caller that owns A passes out=A to
+    normalize it in place, without a second array of its size.
     """
     A = as_matrix(A)
-    scales = np.linalg.norm(A, axis=1)
+    sq = np.empty(A.shape[0])
+    for i in range(0, A.shape[0], _NORM_BLOCK_ROWS):
+        block = A[i:i + _NORM_BLOCK_ROWS]
+        np.add.reduce(block * block, axis=1, out=sq[i:i + _NORM_BLOCK_ROWS])
+    scales = np.sqrt(sq)
     threshold = ZERO_ROW_RTOL * scales.max()
     small = np.flatnonzero(scales <= threshold)
     if small.size:
         raise ZeroRow(int(small[0]))
-    return A / scales[:, None], scales
+    return np.divide(A, scales[:, None], out=out), scales
 
 
 def residuals(A, x, b):
@@ -127,13 +135,13 @@ def mm_write(path, obj):
     else:
         raise DimensionMismatch(f"cannot write array of ndim {obj.ndim}")
     m, n = body.shape
-    lines = ["%%MatrixMarket matrix array real general", f"{m} {n}"]
-    # Array format lists entries column by column.
-    for j in range(n):
-        for i in range(m):
-            lines.append(_FMT % body[i, j])
+    line = _FMT + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
+        # Array format lists entries column by column; formatting one column
+        # at a time keeps only that column's text in memory.
+        for j in range(n):
+            fh.write("".join([line % v for v in body[:, j].tolist()]))
 
 
 def mm_read(path):
@@ -159,13 +167,11 @@ def mm_read(path):
         raise UnsupportedField(f"symmetry {symmetry!r} is not supported")
 
     # Skip comments/blank lines, remembering original line numbers.
-    data = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(raw[1:], start=1)
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
+    stripped = enumerate(map(str.strip, raw[1:]), start=2)
+    data = [(i, ln) for i, ln in stripped if ln and not ln.startswith("%")]
     if not data:
         raise ParseError(len(raw), "missing size line")
+    del raw  # data holds stripped copies of every line still needed
 
     size_lineno, size_line = data[0]
     sizes = size_line.split()
@@ -183,16 +189,15 @@ def mm_read(path):
             raise ParseError(
                 size_lineno, f"expected {expected} entries, found {len(entries)}"
             )
-        out = np.zeros((m, n))
-        it = iter(entries)
         if symmetry == "general":
-            for j in range(n):
-                for i in range(m):
-                    lineno, txt = next(it)
-                    out[i, j] = _parse_value(txt, lineno)
+            # column-major entries; keep the result row-major like every
+            # other matrix of the package
+            out = np.ascontiguousarray(_parse_values(entries).reshape(n, m).T)
         else:
             if m != n:
                 raise ParseError(size_lineno, "symmetric matrix must be square")
+            out = np.zeros((m, n))
+            it = iter(entries)
             for j in range(n):
                 for i in range(j, m):
                     lineno, txt = next(it)
@@ -228,6 +233,15 @@ def mm_read(path):
     if out.ndim == 2 and out.shape[1] == 1:
         return out[:, 0]
     return out
+
+
+def _parse_values(entries):
+    """All entry texts as one float array; a bad entry raises the
+    ParseError of its line, as _parse_value does."""
+    try:
+        return np.array([txt for _, txt in entries], dtype=float)
+    except ValueError:
+        return np.array([_parse_value(txt, lineno) for lineno, txt in entries])
 
 
 def _parse_value(txt, lineno):

@@ -178,7 +178,11 @@ def step_averaged_block(state, instance, config):
         w = np.asarray(config.row_weights, dtype=float)[T]
     else:
         w = resolve_stepsize(config.stepsize, A.shape[1])
-    x_star = state.x_star - (A[T].T @ (w * res[T])) / eta
+    # scatter the weighted residuals into a zero m-vector instead of copying
+    # A[T]: v @ A streams A once, row-major, with no gather
+    v = np.zeros(A.shape[0])
+    v[T] = w * res[T]
+    x_star = state.x_star - (v @ A) / eta
     return IterateState(
         x=bregman.soft_shrink(x_star, config.lam),
         x_star=x_star,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -196,6 +196,77 @@ def test_exact_step_optimality_bracketing():
         eps = 1e-8 * (1.0 + abs(t))
         assert g(t - eps) >= -1e-9
         assert g(t + eps) <= 1e-9
+
+
+def kinkwise_step(x_star, a, b, lam):
+    """O(n^2) oracle: evaluate g at every kink through a (2n x n) matrix,
+    then solve the bracketing linear piece."""
+    a_sq = float(np.dot(a, a))
+    live = a != 0
+    bps = np.unique(np.concatenate([(x_star[live] - lam) / a[live],
+                                    (x_star[live] + lam) / a[live]]))
+    a_live = a[live]
+    Z = x_star[live][None, :] - bps[:, None] * a_live[None, :]
+    gvals = bregman.soft_shrink(Z, lam) @ a_live - b
+    if gvals[0] <= 0.0:
+        return bps[0] + gvals[0] / a_sq
+    if gvals[-1] > 0.0:
+        return bps[-1] + gvals[-1] / a_sq
+    hi = int(np.argmax(gvals <= 0.0))
+    lo = hi - 1
+    g_lo, g_hi = gvals[lo], gvals[hi]
+    if g_hi == 0.0:
+        return float(bps[hi])
+    return float(bps[lo] + g_lo * (bps[hi] - bps[lo]) / (g_lo - g_hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 600),
+    st.sampled_from([0.0, 0.3, 0.9]),
+    st.sampled_from([0.1, 1.0, 3.0]),
+    st.sampled_from([0.1, 1.0, 10.0]),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+)
+def test_exact_step_matches_kinkwise_oracle(seed, n, zero_frac, lam, x_scale,
+                                            log_b, negative_b):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal(n)
+    a[gen.random(n) < zero_frac] = 0.0
+    a[gen.integers(n)] = 1.0  # at least one live component
+    a /= np.linalg.norm(a)
+    x_star = gen.standard_normal(n) * x_scale
+    b = (-1.0 if negative_b else 1.0) * 10.0**log_b
+
+    t = bregman.exact_step(x_star, a, b, lam)
+    t_ref = kinkwise_step(x_star, a, b, lam)
+    assert abs(t - t_ref) <= 1e-12 * max(abs(t_ref), 1.0)
+
+    def g(s):
+        return np.dot(a, bregman.soft_shrink(x_star - s * a, lam)) - b
+
+    eps = 1e-8 * (1.0 + abs(t))
+    tol = 1e-9 * (1.0 + abs(b))
+    assert g(t - eps) >= -tol
+    assert g(t + eps) <= tol
+
+
+def test_exact_step_brackets_from_the_slope_estimates(monkeypatch):
+    # the cumulative-slope estimates pick the bracket, so g is evaluated
+    # exactly in one call (at four kinks), never kink by kink
+    shrink = bregman.soft_shrink
+    calls = []
+    monkeypatch.setattr(bregman, "soft_shrink",
+                        lambda v, lam: calls.append(np.shape(v)) or shrink(v, lam))
+    for _ in range(200):
+        n = int(rng.integers(1, 600))
+        a = rng.standard_normal(n)
+        a /= np.linalg.norm(a)
+        x_star = rng.standard_normal(n) * 3.0
+        bregman.exact_step(x_star, a, float(rng.standard_normal()), 1.0)
+    assert [shape[0] for shape in calls] == [4] * 200
 
 
 def test_exact_step_degenerate_direction():

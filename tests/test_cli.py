@@ -181,6 +181,17 @@ def test_config_file_explicit_flag_wins(tmp_path, monkeypatch):
     assert ks[-1] == "100"
 
 
+def test_config_file_explicit_flag_wins_over_main_argv(tmp_path):
+    # the explicit flags are those of the argv given to main, not of the
+    # host process's sys.argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=40\nn=8\ns=3\niters=5\n")
+    run_cli(["solve", "--config", str(cfg), "--iters", "100", "--seed", "2",
+             "--trace", str(tmp_path / "o.csv")])
+    ks = column(tmp_path / "o.csv", "k")
+    assert ks[-1] == "100"
+
+
 def test_config_file_missing_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["solve", "--config", str(tmp_path / "nope.cfg"),

@@ -41,6 +41,17 @@ def test_normalize_rows_idempotent():
     assert np.abs(s2 - 1.0).max() < 1e-12
 
 
+def test_normalize_rows_matches_linalg_norm_and_works_in_place():
+    A = rng.standard_normal((1000, 7))  # several blocks of rows
+    ref = np.linalg.norm(A, axis=1)
+    N, scales = matrices.normalize_rows(A)
+    assert np.array_equal(scales, ref)
+    assert np.array_equal(N, A / ref[:, None])
+    M, scales_in_place = matrices.normalize_rows(A, out=A)
+    assert M is A
+    assert np.array_equal(M, N) and np.array_equal(scales_in_place, ref)
+
+
 def test_residuals_identity():
     r = matrices.residuals(np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     assert np.allclose(r, [0.0, 2.0])

@@ -149,6 +149,28 @@ def test_block_per_row_weights():
     assert st1.x[1] == pytest.approx(4.0 * 1.0 / 2)
 
 
+@pytest.mark.parametrize("weights", ["1.5n", "per-row"])
+def test_block_step_matches_gathered_rows_formula(weights):
+    inst = gaussian_instance(300, 40, 5, beta=0.2, k=100.0, noise=0.02, seed=5)
+    m, n = inst.A.shape
+    row_weights = rng.uniform(0.5, 2.0, m) if weights == "per-row" else None
+    config = solvers.SolverConfig(method="averaged-block", lam=1.0,
+                                  quantile_q=0.7, stepsize="1.5n",
+                                  row_weights=row_weights, max_iters=1)
+    x_star = rng.standard_normal(n)
+    state = solvers.IterateState(x=bregman.soft_shrink(x_star, 1.0),
+                                 x_star=x_star)
+    st1 = solvers.step_averaged_block(state, inst, config)
+
+    res = inst.A @ state.x - inst.b_observed
+    T = quantiles.acceptable_set(np.abs(res), st1.last_quantile, strict=True)
+    w = row_weights[T] if row_weights is not None else 1.5 * n
+    step = inst.A[T].T @ (w * res[T]) / T.shape[0]
+    assert 1 < st1.last_set_size == T.shape[0] < m
+    assert np.linalg.norm((state.x_star - st1.x_star) - step) <= \
+        1e-12 * np.linalg.norm(step)
+
+
 # ------------------------------------------------------------------- run
 
 def test_run_single_iteration_trace():
