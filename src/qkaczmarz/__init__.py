@@ -19,7 +19,6 @@ from .bregman import (
 from .instances import GeneratorSpec, ProblemInstance, from_files, generate_gaussian
 from .matrices import (
     frobenius_norm,
-    matvec,
     mm_read,
     mm_write,
     normalize_rows,
@@ -27,7 +26,7 @@ from .matrices import (
     residuals,
     submatrix,
 )
-from .quantiles import acceptable_set, q_quantile, residual_quantile
+from .quantiles import acceptable_set, q_quantile
 from .solvers import ConvergenceTrace, IterateState, SolverConfig, median_of_trials, run
 from .theory import SpectralReport, TheoremConstants, spectral_constants
 
@@ -49,7 +48,6 @@ __all__ = [
     "from_files",
     "generate_gaussian",
     "frobenius_norm",
-    "matvec",
     "mm_read",
     "mm_write",
     "normalize_rows",
@@ -58,7 +56,6 @@ __all__ = [
     "submatrix",
     "acceptable_set",
     "q_quantile",
-    "residual_quantile",
     "ConvergenceTrace",
     "IterateState",
     "SolverConfig",

@@ -12,8 +12,9 @@ import shlex
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
     # "stop_tol not reached", so remap usage failures to exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1) if not message else self._fail(message)
+        self._fail(message)
 
     def _fail(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -88,7 +89,6 @@ def write_trace_csv(path, trace, timings=False):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=".")
     p.add_argument("--config", help="key=value file; explicit flags override it")
 
@@ -104,9 +104,14 @@ def _add_generator_flags(p):
                    help="noise bound: entries drawn from U(-bound, bound)")
 
 
+def _int_list(text):
+    return [int(t) for t in text.split(",")]
+
+
 def build_parser():
     parser = _Parser(prog="qkaczmarz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     g = sub.add_parser("generate", parents=[], help="write an instance bundle")
     _add_common(g)
@@ -130,13 +135,15 @@ def build_parser():
 
     e = sub.add_parser("experiment", help="run a named experiment preset")
     _add_common(e)
-    e.add_argument("preset", choices=["corruption-scale", "stepsize-sweep",
-                                      "qbeta-grid", "method-compare", "realdata"])
+    e.add_argument("preset", choices=list(PRESETS))
+    e.add_argument("--jobs", type=int, default=1,
+                   help="threads that run the preset's points")
     e.add_argument("--full", action="store_true",
                    help="paper-scale dimensions instead of desk-scale defaults")
-    e.add_argument("--beta", type=float)
-    e.add_argument("--n", help="comma-separated n values (stepsize-sweep)")
-    e.add_argument("--trials", type=int)
+    e.add_argument("--beta", type=float, default=0.2)
+    e.add_argument("--n", type=_int_list,
+                   help="comma-separated n values (stepsize-sweep)")
+    e.add_argument("--trials", type=int, help="default 21, or 100 with --full")
     e.add_argument("--matrix", help="Matrix Market matrix (realdata)")
     e.add_argument("--xhat", help="Matrix Market ground truth (realdata)")
     e.add_argument("--timings", action="store_true")
@@ -153,46 +160,70 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args, parser, argv):
-    if not args.config:
-        return
-    if not os.path.exists(args.config):
-        parser._fail(f"config file {args.config!r} not found")
-    explicit = {
-        a.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for a in argv
-        if a.startswith("--")
-    }
-    with open(args.config) as fh:
+def _config_defaults(path, command, parser):
+    """Defaults for `command` from a key=value file.
+
+    A key is an option's long name or its dest (`lambda` or `lam`, with `-`
+    and `_` alike); each value is converted by the option's own type.
+    """
+    if not os.path.exists(path):
+        parser._fail(f"config file {path!r} not found")
+    actions = {}
+    for action in command._actions:
+        if action.option_strings and action.dest != "help":
+            for name in [action.dest] + [o[2:] for o in action.option_strings]:
+                actions[name.replace("-", "_")] = action
+    defaults = {}
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in explicit or not hasattr(args, key):
-                continue
-            current = getattr(args, key)
-            val = val.strip()
-            if isinstance(current, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, key, int(val))
-            elif isinstance(current, float):
-                setattr(args, key, float(val))
-            elif current is None:
-                # unset optional flag: guess int, then float, else string
-                for cast in (int, float, str):
-                    try:
-                        setattr(args, key, cast(val))
-                        break
-                    except ValueError:
-                        continue
-            else:
-                setattr(args, key, val)
+            key, _, text = (part.strip() for part in line.partition("="))
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                parser._fail(f"config file {path!r}: unknown key {key!r}")
+            try:
+                if action.nargs == 0:   # store_true flags
+                    value = text.lower() in ("1", "true", "yes")
+                else:
+                    value = (action.type or str)(text)
+            except ValueError:
+                value = None
+            if value is None or (action.choices and value not in action.choices):
+                parser._fail(f"config file {path!r}: bad value {text!r} for {key!r}")
+            defaults[action.dest] = value
+    return defaults
 
 
-def _instance_from_args(args, parser, seed=None):
+_PATH_DESTS = ("out", "instance", "matrix", "xhat", "config", "trace")
+
+
+def _option_dest(command, word):
+    """Dest of a long option as argparse resolves it: exact or unique prefix."""
+    actions = command._option_string_actions
+    if word in actions:
+        return actions[word].dest
+    hits = {a.dest for o, a in actions.items()
+            if word.startswith("--") and o.startswith(word)}
+    return hits.pop() if len(hits) == 1 else None
+
+
+def _command_line(command, args, argv):
+    """`qkaczmarz` and argv, with path values relative to --out, so that
+    runs into different directories record the same line."""
+    words = ["qkaczmarz"]
+    for prev, word in zip([""] + argv, argv):
+        option, eq, value = word.partition("=")
+        if _option_dest(command, prev) in _PATH_DESTS:
+            word = os.path.relpath(word, args.out)
+        elif eq and _option_dest(command, option) in _PATH_DESTS:
+            word = f"{option}={os.path.relpath(value, args.out)}"
+        words.append(word)
+    return " ".join(shlex.quote(w) for w in words)
+
+
+def _instance_from_args(args, parser):
     if getattr(args, "instance", None):
         return instances.load_bundle(args.instance)
     if args.m is None or args.n is None or args.s is None:
@@ -200,7 +231,7 @@ def _instance_from_args(args, parser, seed=None):
     spec = instances.GeneratorSpec(
         m=args.m, n=args.n, sparsity=args.s, beta=args.beta,
         corruption_scale=args.corruption, noise_bound=args.noise,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
     )
     return instances.generate_gaussian(spec)
 
@@ -215,11 +246,9 @@ def cmd_generate(args, parser):
     return 0
 
 
-def _solver_config(args, quantile_default=0.7):
+def _solver_config(args):
     engine, quantile_on, force_zero_lam = METHOD_TABLE[args.method]
-    q = args.q if args.q is not None else (quantile_default if quantile_on else None)
-    if not quantile_on:
-        q = None
+    q = (0.7 if args.q is None else args.q) if quantile_on else None
     return solvers.SolverConfig(
         method=engine,
         lam=0.0 if force_zero_lam else args.lam,
@@ -262,37 +291,73 @@ def cmd_solve(args, parser):
 # restores the published dimensions (m = 10000 and 100 trials).
 # ---------------------------------------------------------------------------
 
-def _median_trace(spec_for_trial, config, trials, jobs=1):
-    if jobs <= 1:
-        return solvers.median_of_trials(
-            lambda j: instances.generate_gaussian(spec_for_trial(j)), config, trials
-        )
-    base = replace(config, stop_tol=None)
-
-    def one(j):
-        inst = instances.generate_gaussian(spec_for_trial(j))
-        _, tr = solvers.run(inst, replace(base, seed=config.seed + j),
-                            record_bregman=False)
-        return tr
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        traces = list(pool.map(one, range(trials)))
-    out = solvers.ConvergenceTrace()
-    for pos, k in enumerate(traces[0].ks):
-        rels = np.array([t.rel_error[pos] for t in traces], dtype=float)
-        out.append(k, float(np.median(rels)), None,
-                   float(np.median([t.quantile[pos] for t in traces])),
-                   int(np.median([t.set_size[pos] for t in traces])), 0.0)
-    return out
+# One run of a preset.  labels are its leading summary columns; shape is the
+# (m, n, s, corruption, noise) of the generated instances, or None for the
+# realdata file instance; records is the number of trace records per run;
+# trace names the trace CSV it writes, if any; level, if set, adds the first
+# k with rel_error <= level to its summary row.
+Point = namedtuple("Point", "labels method iters w q shape records trace level",
+                   defaults=(None, None))
+# grid(full, ns) lists a preset's points; a header that ends in a best_
+# column asks for the best-label step (see _append_best).
+Preset = namedtuple("Preset", "header grid")
 
 
-def _summary_csv(path, header, rows):
-    cmd = "# cmd: " + " ".join(shlex.quote(a) for a in sys.argv)
-    lines = [cmd, ",".join(header)]
+def _corruption_scale(full, ns):
+    m, n, s = (10000, 500, 40) if full else (2000, 100, 10)
+    return [Point((method, k), method, iters, w, 0.7, (m, n, s, k, 0.02), 200,
+                  f"trace_{method}_k{int(k)}.csv", 5e-2)
+            for k in (1.0, 10.0, 100.0)
+            for method, iters, w in (
+                ("quantile-erask", 20000 if full else 8000, "1.0"),
+                ("quantile-raska", 200, "1.5n"))]
+
+
+def _stepsize_sweep(full, ns):
+    m = 10000 if full else 2000
+    ns = ns or ([100, 200, 300, 400] if full else [50, 100])
+    return [Point((n, coeff), "quantile-raska", 20, f"{coeff}n", 0.7,
+                  (m, n, 10, 100.0, 0.0), 1)
+            for n in ns for coeff in (round(0.2 * i, 1) for i in range(1, 16))]
+
+
+def _qbeta_grid(full, ns):
+    m, n = (10000, 200) if full else (2000, 100)
+    return [Point((q,), "quantile-raska", 40, "1.7n", q,
+                  (m, n, 10, 100.0, 0.02), 1)
+            for q in (round(0.1 * i, 1) for i in range(1, 11))]
+
+
+def _three_methods(block_iters, block_w, shape, level):
+    """Quantile-RKA, Quantile-ERaSK and Quantile-RaSKA side by side."""
+    return [Point((method,), method, iters, w, 0.7, shape, 500,
+                  f"trace_{method}.csv", level)
+            for method, iters, w in (("quantile-rka", block_iters, block_w),
+                                     ("quantile-erask", 20000, "1.0"),
+                                     ("quantile-raska", block_iters, block_w))]
+
+
+PRESETS = {
+    "corruption-scale": Preset(("method", "corruption_scale", "iters_to_5e-2",
+                                "final_rel_error"), _corruption_scale),
+    "stepsize-sweep": Preset(("n", "w_over_n", "rel_error_at_20", "best_w_over_n"),
+                             _stepsize_sweep),
+    "qbeta-grid": Preset(("q", "rel_error_at_40", "best_q"), _qbeta_grid),
+    "method-compare": Preset(
+        ("method", "iters_to_1e-2", "final_rel_error"),
+        lambda full, ns: _three_methods(
+            3000, "1.7n", (2000, 200 if full else 100, 10, 100.0, 0.0), 1e-2)),
+    "realdata": Preset(("method", "final_rel_error"),
+                       lambda full, ns: _three_methods(500, "1.0n", None, None)),
+}
+
+
+def _summary_csv(args, name, header, rows):
+    lines = ["# cmd: " + args.cmd_line, ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
                               for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(args.out, name), "\n".join(lines) + "\n")
 
 
 def _first_k_below(trace, level):
@@ -302,167 +367,72 @@ def _first_k_below(trace, level):
     return None
 
 
+def _run_point(args, inst, trials, point):
+    """Median trace over trials on generated instances, or one run on the
+    file instance; writes the trace CSV and returns the summary row."""
+    engine, _, force_zero_lam = METHOD_TABLE[point.method]
+    config = solvers.SolverConfig(
+        method=engine, lam=0.0 if force_zero_lam else 1.0, quantile_q=point.q,
+        stepsize=point.w, max_iters=point.iters, seed=args.seed,
+        trace_every=max(1, point.iters // point.records),
+    )
+    if point.shape is None:
+        _, trace = solvers.run(inst, config)
+    else:
+        m, n, s, corruption, noise = point.shape
+        trace = solvers.median_of_trials(
+            lambda j: instances.generate_gaussian(instances.GeneratorSpec(
+                m=m, n=n, sparsity=s, beta=args.beta, corruption_scale=corruption,
+                noise_bound=noise, seed=args.seed + 1000 * j,
+            )),
+            config, trials,
+        )
+    if point.trace:
+        write_trace_csv(os.path.join(args.out, point.trace), trace,
+                        timings=args.timings)
+    row = point.labels
+    if point.level is not None:
+        row += (_first_k_below(trace, point.level) or -1,)
+    return row + (trace.rel_error[-1],)
+
+
+def _append_best(header, rows):
+    """Append to each (labels..., error) row the last label of the
+    lowest-error row among those sharing its other labels (first on ties),
+    and print each group's best."""
+    best = {}
+    for row in rows:
+        if row[:-2] not in best or row[-1] < best[row[:-2]][-1]:
+            best[row[:-2]] = row
+    for group, row in best.items():
+        print(" ".join([f"{h}={v}" for h, v in zip(header, group)]
+                       + [f"{header[-1]}={row[-2]}"]))
+    return [row + (best[row[:-2]][-2],) for row in rows]
+
+
 def cmd_experiment(args, parser):
     os.makedirs(args.out, exist_ok=True)
-    full = args.full
-    trials = args.trials if args.trials is not None else (100 if full else 21)
-    preset = args.preset
-    seed = args.seed
-
-    if preset == "corruption-scale":
-        m, n, s = (10000, 500, 40) if full else (2000, 100, 10)
-        beta = args.beta if args.beta is not None else 0.2
-        rows = []
-        jobs = []
-        for k in (1.0, 10.0, 100.0):
-            for method, iters, w in (
-                ("quantile-erask", 20000 if full else 8000, "1.0"),
-                ("quantile-raska", 200, "1.5n"),
-            ):
-                jobs.append((k, method, iters, w))
-
-        def run_point(point):
-            k, method, iters, w = point
-            engine, _, _ = METHOD_TABLE[method]
-            config = solvers.SolverConfig(
-                method=engine, lam=1.0, quantile_q=0.7, stepsize=w,
-                max_iters=iters, seed=seed, trace_every=max(1, iters // 200),
-            )
-            spec = lambda j: instances.GeneratorSpec(
-                m=m, n=n, sparsity=s, beta=beta, corruption_scale=k,
-                noise_bound=0.02, seed=seed + 1000 * j,
-            )
-            trace = _median_trace(spec, config, trials)
-            write_trace_csv(
-                os.path.join(args.out, f"trace_{method}_k{int(k)}.csv"),
-                trace, timings=args.timings,
-            )
-            return (method, k, _first_k_below(trace, 5e-2) or -1,
-                    trace.rel_error[-1])
-
-        rows = _map_jobs(run_point, jobs, args.jobs)
-        _summary_csv(os.path.join(args.out, "summary.csv"),
-                     ["method", "corruption_scale", "iters_to_5e-2", "final_rel_error"],
-                     rows)
-
-    elif preset == "stepsize-sweep":
-        m = 10000 if full else 2000
-        ns = [int(t) for t in args.n.split(",")] if args.n else (
-            [100, 200, 300, 400] if full else [50, 100])
-        beta = args.beta if args.beta is not None else 0.2
-        coeffs = [round(0.2 * i, 1) for i in range(1, 16)]
-        record_at = 20
-
-        def run_point(point):
-            n, coeff = point
-            config = solvers.SolverConfig(
-                method="averaged-block", lam=1.0, quantile_q=0.7,
-                stepsize=f"{coeff}n", max_iters=record_at, seed=seed,
-                trace_every=record_at,
-            )
-            spec = lambda j: instances.GeneratorSpec(
-                m=m, n=n, sparsity=10, beta=beta, corruption_scale=100.0,
-                noise_bound=0.0, seed=seed + 1000 * j,
-            )
-            trace = _median_trace(spec, config, trials)
-            return (n, coeff, trace.rel_error[-1])
-
-        rows = _map_jobs(run_point, [(n, c) for n in ns for c in coeffs], args.jobs)
-        best = {}
-        for n, coeff, err in rows:
-            if n not in best or err < best[n][1]:
-                best[n] = (coeff, err)
-        out_rows = [(n, coeff, err, best[n][0]) for n, coeff, err in rows]
-        _summary_csv(os.path.join(args.out, "summary.csv"),
-                     ["n", "w_over_n", "rel_error_at_20", "best_w_over_n"],
-                     out_rows)
-
-    elif preset == "qbeta-grid":
-        m, n = (10000, 200) if full else (2000, 100)
-        beta = args.beta if args.beta is not None else 0.2
-        record_at = 40
-
-        def run_point(q):
-            config = solvers.SolverConfig(
-                method="averaged-block", lam=1.0, quantile_q=q,
-                stepsize="1.7n", max_iters=record_at, seed=seed,
-                trace_every=record_at,
-            )
-            spec = lambda j: instances.GeneratorSpec(
-                m=m, n=n, sparsity=10, beta=beta, corruption_scale=100.0,
-                noise_bound=0.02, seed=seed + 1000 * j,
-            )
-            trace = _median_trace(spec, config, trials)
-            return (q, trace.rel_error[-1])
-
-        grid = [round(0.1 * i, 1) for i in range(1, 11)]
-        rows = _map_jobs(run_point, grid, args.jobs)
-        best_q = min(rows, key=lambda r: r[1])[0]
-        _summary_csv(os.path.join(args.out, "summary.csv"),
-                     ["q", f"rel_error_at_{record_at}", "best_q"],
-                     [(q, err, best_q) for q, err in rows])
-        print(f"best_q={best_q}")
-
-    elif preset == "method-compare":
-        m, n, s = (2000, 200, 10) if full else (2000, 100, 10)
-        beta = args.beta if args.beta is not None else 0.2
-
-        def run_point(method):
-            engine, _, force_zero = METHOD_TABLE[method]
-            iters = 3000 if engine == "averaged-block" else 20000
-            config = solvers.SolverConfig(
-                method=engine, lam=0.0 if force_zero else 1.0, quantile_q=0.7,
-                stepsize="1.7n" if engine == "averaged-block" else "1.0",
-                max_iters=iters, seed=seed, trace_every=max(1, iters // 500),
-            )
-            spec = lambda j: instances.GeneratorSpec(
-                m=m, n=n, sparsity=s, beta=beta, corruption_scale=100.0,
-                noise_bound=0.0, seed=seed + 1000 * j,
-            )
-            trace = _median_trace(spec, config, trials)
-            write_trace_csv(os.path.join(args.out, f"trace_{method}.csv"),
-                            trace, timings=args.timings)
-            return (method, _first_k_below(trace, 1e-2) or -1,
-                    trace.rel_error[-1])
-
-        rows = _map_jobs(run_point,
-                         ["quantile-rka", "quantile-erask", "quantile-raska"],
-                         args.jobs)
-        _summary_csv(os.path.join(args.out, "summary.csv"),
-                     ["method", "iters_to_1e-2", "final_rel_error"], rows)
-
-    elif preset == "realdata":
+    preset = PRESETS[args.preset]
+    inst = None
+    if args.preset == "realdata":
         if not args.matrix or not args.xhat:
             parser._fail("realdata needs --matrix and --xhat")
-        beta = args.beta if args.beta is not None else 0.2
         inst = instances.from_files(
-            args.matrix, x_hat_path=args.xhat, beta=beta,
-            corruption_scale=100.0, noise_bound=0.02, seed=seed,
+            args.matrix, x_hat_path=args.xhat, beta=args.beta,
+            corruption_scale=100.0, noise_bound=0.02, seed=args.seed,
         )
-        rows = []
-        for method in ("quantile-rka", "quantile-erask", "quantile-raska"):
-            engine, _, force_zero = METHOD_TABLE[method]
-            iters = 500 if engine == "averaged-block" else 20000
-            config = solvers.SolverConfig(
-                method=engine, lam=0.0 if force_zero else 1.0, quantile_q=0.7,
-                stepsize="1.0n" if engine == "averaged-block" else "1.0",
-                max_iters=iters, seed=seed, trace_every=max(1, iters // 500),
-            )
-            _, trace = solvers.run(inst, config)
-            write_trace_csv(os.path.join(args.out, f"trace_{method}.csv"),
-                            trace, timings=args.timings)
-            rows.append((method, trace.rel_error[-1]))
-        _summary_csv(os.path.join(args.out, "summary.csv"),
-                     ["method", "final_rel_error"], rows)
-
+    trials = args.trials if args.trials is not None else (100 if args.full else 21)
+    run_point = partial(_run_point, args, inst, trials)
+    points = preset.grid(args.full, args.n)
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(run_point, points))
+    else:
+        rows = [run_point(p) for p in points]
+    if preset.header[-1].startswith("best_"):
+        rows = _append_best(preset.header, rows)
+    _summary_csv(args, "summary.csv", preset.header, rows)
     return 0
-
-
-def _map_jobs(fn, points, jobs):
-    if jobs <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, points))
 
 
 def cmd_spectral(args, parser):
@@ -507,8 +477,8 @@ def cmd_spectral(args, parser):
                   file=sys.stderr)
     for key, val in pairs:
         print(f"{key}={val}")
-    csv_path = os.path.join(args.out, "spectral.csv")
-    _summary_csv(csv_path, [k for k, _ in pairs], [tuple(v for _, v in pairs)])
+    _summary_csv(args, "spectral.csv", [k for k, _ in pairs],
+                 [tuple(v for _, v in pairs)])
     return 0
 
 
@@ -516,7 +486,13 @@ def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser, argv)
+    command = parser.commands[args.command]
+    if args.config:
+        # explicit flags beat the file: argparse applies them over the
+        # file's values, installed as defaults
+        command.set_defaults(**_config_defaults(args.config, command, parser))
+        args = parser.parse_args(argv)
+    args.cmd_line = _command_line(command, args, argv)
     handlers = {
         "generate": cmd_generate,
         "solve": cmd_solve,
@@ -525,10 +501,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args, parser)
-    except QkzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QkzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

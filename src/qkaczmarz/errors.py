@@ -41,10 +41,6 @@ class DegenerateDirection(QkzError):
     pass
 
 
-class NoRoot(QkzError):
-    pass
-
-
 class EmptyInput(QkzError):
     pass
 

@@ -77,15 +77,6 @@ def residuals(A, x, b):
     return A @ x - b
 
 
-def matvec(A, x):
-    """Matrix-vector product A @ x."""
-    A = as_matrix(A)
-    x = as_vector(x)
-    if A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"A is {A.shape}, x has length {x.shape[0]}")
-    return A @ x
-
-
 def frobenius_norm(A):
     return float(np.linalg.norm(as_matrix(A)))
 

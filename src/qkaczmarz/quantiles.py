@@ -9,7 +9,6 @@ rule would need y_(n+1)).
 
 import numpy as np
 
-from . import matrices
 from .errors import DimensionMismatch, EmptyAcceptableSet, EmptyInput
 
 # nq within this distance of an integer is treated as integral.
@@ -32,12 +31,6 @@ def q_quantile(values, q):
             return float(s[-1])
         return float(0.5 * (s[k - 1] + s[k]))
     return float(s[int(np.floor(nq))])
-
-
-def residual_quantile(A, x, b, q):
-    """q-quantile of the absolute residuals |<a_i, x> - b_i| over all rows."""
-    res = matrices.residuals(A, x, b)
-    return q_quantile(np.abs(res), q)
 
 
 def acceptable_set(abs_residuals, Q, strict=False):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bregman, quantiles
+from . import bregman, quantiles, theory
 from .errors import ConfigInvalid, EmptyAcceptableSet, MissingGroundTruth
 
 METHODS = ("single-row-inexact", "single-row-exact", "averaged-block")
@@ -207,13 +207,12 @@ def run(instance, config, record_bregman=True):
         raise MissingGroundTruth("stop_tol needs a ground truth")
     norm_hat = float(np.linalg.norm(x_hat)) if x_hat is not None else None
 
-    sigma_max = None
-    bound_terms = None
+    quantile_bound = None
     if config.check_quantile_bound:
-        if x_hat is None:
-            raise MissingGroundTruth("the quantile bound check needs a ground truth")
+        if config.quantile_q is None:
+            raise ConfigInvalid("the quantile bound check needs the quantile filter")
         sigma_max = float(np.linalg.svd(A, compute_uv=False)[0])
-        bound_terms = _quantile_bound_terms(instance, config.quantile_q, sigma_max)
+        quantile_bound = theory.lemma31_bound(instance, config.quantile_q, sigma_max)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = zero_state(A.shape[1])
@@ -246,8 +245,13 @@ def run(instance, config, record_bregman=True):
                 return state, trace
             raise
 
-        if bound_terms is not None and not np.isnan(state.last_quantile):
-            _assert_quantile_bound(state, x_hat, bound_terms)
+        if quantile_bound is not None and not np.isnan(state.last_quantile):
+            bound = quantile_bound(state.x)
+            if state.last_quantile > bound + 1e-9:
+                raise AssertionError(
+                    f"residual quantile {state.last_quantile} exceeds bound "
+                    f"{bound} at iteration {state.k}"
+                )
 
         due = state.k % config.trace_every == 0 or state.k == config.max_iters
         rel = record(state) if due else None
@@ -260,26 +264,6 @@ def run(instance, config, record_bregman=True):
                     record(state)
                 return state, trace
     return state, trace
-
-
-def _quantile_bound_terms(instance, q, sigma_max):
-    beta = instance.beta
-    if q is None or not beta < q < 1.0 - beta:
-        raise ConfigInvalid("the quantile bound needs beta < q < 1 - beta")
-    m = instance.m
-    lead = np.sqrt(1.0 - beta) / ((1.0 - beta - q) * np.sqrt(m)) * sigma_max
-    noise = (1.0 - beta) / (1.0 - beta - q) * np.abs(instance.noise).max(initial=0.0)
-    return lead, noise
-
-
-def _assert_quantile_bound(state, x_hat, terms, tol=1e-9):
-    lead, noise = terms
-    bound = lead * float(np.linalg.norm(state.x - x_hat)) + noise + tol
-    if state.last_quantile > bound:
-        raise AssertionError(
-            f"residual quantile {state.last_quantile} exceeds bound {bound} "
-            f"at iteration {state.k}"
-        )
 
 
 def median_of_trials(instance_for_trial, config, trials):

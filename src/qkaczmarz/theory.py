@@ -308,24 +308,27 @@ def raska_rate_noisy(spectral, m, n, q, beta, alpha, w):
     return float(factor), float(noise_coeff), float(w_opt)
 
 
-def lemma31_check(x_k, instance, q, Q_k, sigma_max, tol=1e-9):
-    """Runtime residual-quantile inequality for single-row methods.
+def lemma31_bound(instance, q, sigma_max):
+    """Residual-quantile bound of Lemma 3.1 as a function of the iterate:
 
-    True iff Q_k <= sqrt(1-beta)/((1-beta-q) sqrt(m)) * sigma_max *
-    ||x_k - x_hat|| + (1-beta)/(1-beta-q) * ||r||_inf + tol.
+    x_k -> sqrt(1-beta)/((1-beta-q) sqrt(m)) * sigma_max * ||x_k - x_hat||
+           + (1-beta)/(1-beta-q) * ||r||_inf.
     """
     if instance.x_hat is None:
         raise MissingGroundTruth("the quantile bound needs a ground truth")
     beta = instance.beta
     _check_order(q, beta)
-    m = instance.m
     g = 1.0 - beta - q
-    bound = (
-        np.sqrt(1.0 - beta) / (g * np.sqrt(m)) * sigma_max
-        * float(np.linalg.norm(np.asarray(x_k) - instance.x_hat))
-        + (1.0 - beta) / g * np.abs(instance.noise).max(initial=0.0)
-    )
-    return bool(Q_k <= bound + tol)
+    lead = np.sqrt(1.0 - beta) / (g * np.sqrt(instance.m)) * sigma_max
+    noise = (1.0 - beta) / g * np.abs(instance.noise).max(initial=0.0)
+    x_hat = instance.x_hat
+    return lambda x_k: lead * float(np.linalg.norm(np.asarray(x_k) - x_hat)) + noise
+
+
+def lemma31_check(x_k, instance, q, Q_k, sigma_max, tol=1e-9):
+    """Runtime residual-quantile inequality for single-row methods: True iff
+    Q_k <= lemma31_bound(instance, q, sigma_max)(x_k) + tol."""
+    return bool(Q_k <= lemma31_bound(instance, q, sigma_max)(x_k) + tol)
 
 
 def theorem_constants(spectral, instance, q, lam):

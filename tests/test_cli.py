@@ -192,6 +192,45 @@ def test_config_file_explicit_flag_wins_over_main_argv(tmp_path):
     assert ks[-1] == "100"
 
 
+def test_config_file_lam_does_not_beat_explicit_lambda(tmp_path):
+    # the config key is the dest `lam`, the flag `--lambda`: still one option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lam=0\n")
+    run_cli(solve_args(tmp_path, ["--config", str(cfg), "--lambda", "2",
+                                  "--iters", "50", "--trace", str(tmp_path / "c.csv")]))
+    run_cli(solve_args(tmp_path, ["--lambda", "2", "--iters", "50",
+                                  "--trace", str(tmp_path / "f.csv")]))
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
+def test_config_file_accepts_long_option_names(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=2\ntrace-every=10\n")
+    run_cli(solve_args(tmp_path, ["--config", str(cfg), "--iters", "50",
+                                  "--trace", str(tmp_path / "c.csv")]))
+    run_cli(solve_args(tmp_path, ["--lambda", "2", "--trace-every", "10",
+                                  "--iters", "50", "--trace", str(tmp_path / "f.csv")]))
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
+def test_config_file_abbreviated_flag_wins(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=40\nn=8\ns=3\niters=5\n")
+    run_cli(["solve", "--config", str(cfg), "--it", "100", "--seed", "2",
+             "--trace", str(tmp_path / "o.csv")])
+    assert column(tmp_path / "o.csv", "k")[-1] == "100"
+
+
+@pytest.mark.parametrize("text", ["lamda=2\n", "iters=many\n",
+                                  "method=nonsense\n", "jobs=2\n"])
+def test_config_file_bad_key_or_value_exits_1(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(solve_args(tmp_path, ["--config", str(cfg)]))
+    assert exc.value.code == 1
+
+
 def test_config_file_missing_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["solve", "--config", str(tmp_path / "nope.cfg"),
@@ -223,6 +262,16 @@ def test_spectral_report(tmp_path, capsys):
     assert kv["condition2"] in ("true", "false")
     header, rows = read_csv(tmp_path / "spectral.csv")
     assert header[:2] == ["mode", "samples"] and len(rows) == 1
+
+
+def test_summary_cmd_line_is_mains_argv_relative_to_out(tmp_path):
+    bundle = make_bundle(tmp_path)
+    code = run_cli(["spectral", "--inst", bundle, "--q", "0.5",
+                    f"--out={tmp_path}"])
+    assert code == 0
+    with open(tmp_path / "spectral.csv") as fh:
+        assert fh.readline() == \
+            "# cmd: qkaczmarz spectral --inst inst --q 0.5 --out=.\n"
 
 
 def test_spectral_budget_exceeded_hints_sampled(tmp_path, capsys):
@@ -264,6 +313,76 @@ def test_experiment_qbeta_grid(tmp_path, capsys):
     best_q = float(out.split("best_q=")[1].strip())
     errs = {float(r[0]): float(r[1]) for r in rows}
     assert errs[best_q] == min(errs.values())
+
+
+COEFFS = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6,
+          2.8, 3.0]
+QS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+def preset_grid(name, full, ns=None):
+    return [tuple(p) for p in cli.PRESETS[name].grid(full, ns)]
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_preset_grids(full):
+    # (labels, method, iters, w, q, (m, n, s, corruption, noise),
+    #  trace records per run, trace file, iters-to level): the constants of
+    # the per-preset code the table replaced
+    m, n, s, erask_iters = (10000, 500, 40, 20000) if full else (2000, 100, 10, 8000)
+    assert preset_grid("corruption-scale", full) == [
+        row for k in (1.0, 10.0, 100.0) for row in (
+            (("quantile-erask", k), "quantile-erask", erask_iters, "1.0", 0.7,
+             (m, n, s, k, 0.02), 200, f"trace_quantile-erask_k{int(k)}.csv", 5e-2),
+            (("quantile-raska", k), "quantile-raska", 200, "1.5n", 0.7,
+             (m, n, s, k, 0.02), 200, f"trace_quantile-raska_k{int(k)}.csv", 5e-2))]
+
+    m = 10000 if full else 2000
+    for ns, want in ((None, [100, 200, 300, 400] if full else [50, 100]),
+                     ([20, 30], [20, 30])):
+        assert preset_grid("stepsize-sweep", full, ns) == [
+            ((n, c), "quantile-raska", 20, f"{c}n", 0.7, (m, n, 10, 100.0, 0.0),
+             1, None, None) for n in want for c in COEFFS]
+
+    m, n = (10000, 200) if full else (2000, 100)
+    assert preset_grid("qbeta-grid", full) == [
+        ((q,), "quantile-raska", 40, "1.7n", q, (m, n, 10, 100.0, 0.02), 1,
+         None, None) for q in QS]
+
+    shape = (2000, 200 if full else 100, 10, 100.0, 0.0)
+    assert preset_grid("method-compare", full) == [
+        ((method,), method, iters, w, 0.7, shape, 500, f"trace_{method}.csv", 1e-2)
+        for method, iters, w in (("quantile-rka", 3000, "1.7n"),
+                                 ("quantile-erask", 20000, "1.0"),
+                                 ("quantile-raska", 3000, "1.7n"))]
+
+    assert preset_grid("realdata", full) == [
+        ((method,), method, iters, w, 0.7, None, 500, f"trace_{method}.csv", None)
+        for method, iters, w in (("quantile-rka", 500, "1.0n"),
+                                 ("quantile-erask", 20000, "1.0"),
+                                 ("quantile-raska", 500, "1.0n"))]
+
+
+def test_preset_headers():
+    assert {name: p.header for name, p in cli.PRESETS.items()} == {
+        "corruption-scale": ("method", "corruption_scale", "iters_to_5e-2",
+                             "final_rel_error"),
+        "stepsize-sweep": ("n", "w_over_n", "rel_error_at_20", "best_w_over_n"),
+        "qbeta-grid": ("q", "rel_error_at_40", "best_q"),
+        "method-compare": ("method", "iters_to_1e-2", "final_rel_error"),
+        "realdata": ("method", "final_rel_error"),
+    }
+
+
+def test_jobs_is_an_experiment_flag_only(tmp_path):
+    bundle = make_bundle(tmp_path)
+    for argv in (["generate", "--m", "10", "--n", "3", "--s", "2"],
+                 ["solve", "--instance", bundle, "--iters", "5"],
+                 ["spectral", "--instance", bundle, "--q", "0.5"]):
+        assert run_cli(argv + ["--out", str(tmp_path / "ok")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--jobs", "2", "--out", str(tmp_path / "ok")])
+        assert exc.value.code == 1
 
 
 def test_experiment_realdata(tmp_path):

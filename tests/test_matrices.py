@@ -81,7 +81,7 @@ def test_residuals_plus_b_equals_matvec():
     x = rng.standard_normal(4)
     b = rng.standard_normal(6)
     lhs = matrices.residuals(A, x, b) + b
-    rhs = matrices.matvec(A, x)
+    rhs = A @ x
     assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + np.abs(rhs).max())
 
 
@@ -120,10 +120,6 @@ def test_submatrix_errors():
         matrices.submatrix(np.eye(3), set(), {0})
     with pytest.raises(IndexOutOfRange):
         matrices.submatrix(np.eye(3), {0, 5}, {0})
-
-
-def test_matvec_identity():
-    assert np.allclose(matrices.matvec(np.eye(2), np.array([5.0, 7.0])), [5.0, 7.0])
 
 
 def test_mm_roundtrip_matrix(tmp_path):

@@ -72,32 +72,6 @@ def test_q_quantile_monotone_in_q():
     assert all(a <= b + 1e-12 for a, b in zip(outs, outs[1:]))
 
 
-def test_residual_quantile_consistent_system_is_zero():
-    A = rng.standard_normal((6, 3))
-    x = rng.standard_normal(3)
-    for q in (0.2, 0.5, 1.0):
-        assert quantiles.residual_quantile(A, x, A @ x, q) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_residual_quantile_one_corrupted_row():
-    A = np.eye(4)
-    x = np.array([0.1, -0.2, 0.15, 0.05])
-    b = np.zeros(4)
-    b[3] = 100.0  # huge residual on one of four rows
-    Q = quantiles.residual_quantile(A, x, b, 0.5)
-    clean = sorted(abs(v) for v in x[:3]) + [abs(x[3] - 100.0)]
-    assert Q == pytest.approx(0.5 * (clean[1] + clean[2]))
-
-
-def test_residual_quantile_q1_is_max_residual():
-    A = rng.standard_normal((5, 2))
-    x = rng.standard_normal(2)
-    b = rng.standard_normal(5)
-    assert quantiles.residual_quantile(A, x, b, 1.0) == pytest.approx(
-        np.abs(A @ x - b).max()
-    )
-
-
 def test_acceptable_set_nonstrict():
     idx = quantiles.acceptable_set(np.array([0.0, 0.0, 5.0]), 1.0, strict=False)
     assert idx.tolist() == [0, 1]
