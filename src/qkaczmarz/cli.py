@@ -299,8 +299,10 @@ def cmd_solve(args, parser):
 Point = namedtuple("Point", "labels method iters w q shape records trace level",
                    defaults=(None, None))
 # grid(full, ns) lists a preset's points; a header that ends in a best_
-# column asks for the best-label step (see _append_best).
-Preset = namedtuple("Preset", "header grid")
+# column asks for the best-label step (see _append_best).  reads names the
+# optional flags of _PRESET_FLAGS the preset uses; any other is refused.
+Preset = namedtuple("Preset", "header grid reads")
+_PRESET_FLAGS = ("full", "n", "matrix", "xhat")
 
 
 def _corruption_scale(full, ns):
@@ -339,16 +341,18 @@ def _three_methods(block_iters, block_w, shape, level):
 
 PRESETS = {
     "corruption-scale": Preset(("method", "corruption_scale", "iters_to_5e-2",
-                                "final_rel_error"), _corruption_scale),
+                                "final_rel_error"), _corruption_scale, ("full",)),
     "stepsize-sweep": Preset(("n", "w_over_n", "rel_error_at_20", "best_w_over_n"),
-                             _stepsize_sweep),
-    "qbeta-grid": Preset(("q", "rel_error_at_40", "best_q"), _qbeta_grid),
+                             _stepsize_sweep, ("full", "n")),
+    "qbeta-grid": Preset(("q", "rel_error_at_40", "best_q"), _qbeta_grid, ("full",)),
     "method-compare": Preset(
         ("method", "iters_to_1e-2", "final_rel_error"),
         lambda full, ns: _three_methods(
-            3000, "1.7n", (2000, 200 if full else 100, 10, 100.0, 0.0), 1e-2)),
+            3000, "1.7n", (2000, 200 if full else 100, 10, 100.0, 0.0), 1e-2),
+        ("full",)),
     "realdata": Preset(("method", "final_rel_error"),
-                       lambda full, ns: _three_methods(500, "1.0n", None, None)),
+                       lambda full, ns: _three_methods(500, "1.0n", None, None),
+                       ("matrix", "xhat")),
 }
 
 
@@ -411,8 +415,11 @@ def _append_best(header, rows):
 
 
 def cmd_experiment(args, parser):
-    os.makedirs(args.out, exist_ok=True)
     preset = PRESETS[args.preset]
+    for flag in _PRESET_FLAGS:
+        if getattr(args, flag) not in (None, False) and flag not in preset.reads:
+            parser._fail(f"experiment {args.preset} does not read --{flag}")
+    os.makedirs(args.out, exist_ok=True)
     inst = None
     if args.preset == "realdata":
         if not args.matrix or not args.xhat:

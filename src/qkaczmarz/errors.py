@@ -49,6 +49,17 @@ class EmptyAcceptableSet(QkzError):
     pass
 
 
+class Diverged(QkzError):
+    def __init__(self, k):
+        self.k = k
+        super().__init__(f"the iterate is not finite after iteration {k}: "
+                         "the method diverged (try a smaller stepsize)")
+
+
+class InvalidBundle(QkzError):
+    pass
+
+
 class SpecInvalid(QkzError):
     pass
 

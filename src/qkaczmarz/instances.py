@@ -1,10 +1,11 @@
 """Synthetic and file-based problem instances.
 
-An instance bundles a row-normalized matrix A, the clean right-hand side
-b_clean = A x_hat, sparse corruption b_corrupt, dense bounded noise, and the
-observed b = b_clean + b_corrupt + noise.  Generation is fully determined by
-the seed; random draws always happen in the fixed order: matrix entries,
-support, support values, corruption indices, corruption values, noise.
+An instance bundles a row-normalized matrix A, stored column-major, the
+clean right-hand side b_clean = A x_hat, sparse corruption b_corrupt, dense
+bounded noise, and the observed b = b_clean + b_corrupt + noise.
+Generation is fully determined by the seed; random draws always happen in
+the fixed order: matrix entries, support, support values, corruption
+indices, corruption values, noise.
 """
 
 import os
@@ -13,7 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrices
-from .errors import DimensionMismatch, SpecInvalid
+from .errors import DimensionMismatch, InvalidBundle, SpecInvalid
+
+# Rows of the Gaussian matrix drawn and normalized at a time.
+_DRAW_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,18 @@ def generate_gaussian(spec):
     """
     spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    A_raw = rng.standard_normal((spec.m, spec.n))
-    A, _ = matrices.normalize_rows(A_raw, out=A_raw)
+    # Drawing row blocks in turn takes the same values from the stream as one
+    # (m, n) draw.  Each block is normalized in place while it is row-major
+    # and cache-resident, then copied into the column-major A, so A is
+    # written once and never read back.
+    A = np.empty((spec.m, spec.n), order="F")
+    for i in range(0, spec.m, _DRAW_BLOCK_ROWS):
+        block = rng.standard_normal((min(_DRAW_BLOCK_ROWS, spec.m - i), spec.n))
+        A[i:i + _DRAW_BLOCK_ROWS], _ = matrices.normalize_rows(block, out=block)
     support = np.sort(rng.choice(spec.n, size=spec.sparsity, replace=False))
     x_hat = np.zeros(spec.n)
     x_hat[support] = rng.standard_normal(spec.sparsity)
-    b_clean = A @ x_hat
+    b_clean = matrices.support_residuals(A, x_hat, 0.0)
     return _corrupt_and_pack(A, b_clean, x_hat, spec.beta, spec.corruption_scale,
                              spec.noise_bound, spec.seed, rng)
 
@@ -114,17 +124,18 @@ def from_files(matrix_path, x_hat_path=None, rhs_path=None, beta=0.0,
     A_raw = matrices.mm_read(matrix_path)
     if A_raw.ndim != 2:
         raise DimensionMismatch("matrix file does not hold a 2-D matrix")
+    # mm_read returns a column-major array of its own: normalize it in place
     A, scales = matrices.normalize_rows(A_raw, out=A_raw)
     if (x_hat_path is None) == (rhs_path is None):
         raise SpecInvalid("exactly one of x_hat_path / rhs_path is required")
     if x_hat_path is not None:
-        x_hat = matrices.mm_read(x_hat_path)
+        x_hat = matrices.as_vector(matrices.mm_read(x_hat_path))
         if x_hat.shape[0] != A.shape[1]:
             raise DimensionMismatch("ground truth length does not match columns")
-        b_clean = A @ x_hat
+        b_clean = matrices.support_residuals(A, x_hat, 0.0)
     else:
         x_hat = None
-        b = matrices.mm_read(rhs_path)
+        b = matrices.as_vector(matrices.mm_read(rhs_path))
         if b.shape[0] != A.shape[0]:
             raise DimensionMismatch("right-hand side length does not match rows")
         b_clean = b / scales
@@ -149,6 +160,9 @@ def is_detected(instance, acceptable):
 # ---------------------------------------------------------------------------
 # On-disk bundles: a directory of Matrix Market files plus meta.txt.
 # ---------------------------------------------------------------------------
+
+# Relative tolerance of load_bundle's sum and unit-row checks.
+_BUNDLE_RTOL = 1e-10
 
 _BUNDLE_FILES = {
     "A": "A.mtx",
@@ -179,7 +193,12 @@ def save_bundle(instance, out_dir):
 
 
 def load_bundle(in_dir):
-    """Inverse of save_bundle; reproduces b_observed exactly."""
+    """Inverse of save_bundle; reproduces b_observed exactly.
+
+    Raises InvalidBundle unless every entry is finite, the lengths agree,
+    b_observed = b_clean + b_corrupt + noise to rounding, the corruption
+    indices are distinct rows of A and every row of A has unit norm.
+    """
     parts = {
         attr: matrices.mm_read(os.path.join(in_dir, fname))
         for attr, fname in _BUNDLE_FILES.items()
@@ -193,22 +212,45 @@ def load_bundle(in_dir):
             if line:
                 key, _, val = line.partition("=")
                 meta[key] = val
-    idx_txt = meta.get("corruption_indices", "")
-    corrupt_idx = (
-        np.array([int(t) for t in idx_txt.split(",")], dtype=int)
-        if idx_txt
-        else np.array([], dtype=int)
-    )
-    return ProblemInstance(
-        A=parts["A"],
-        b_clean=parts["b_clean"],
-        b_corrupt=parts["b_corrupt"],
-        noise=parts["noise"],
-        b_observed=parts["b_observed"],
-        x_hat=x_hat,
-        beta=float(meta.get("beta", 0.0)),
-        corruption_scale=float(meta.get("corruption_scale", 0.0)),
-        noise_bound=float(meta.get("noise_bound", 0.0)),
-        seed=int(meta.get("seed", 0)),
-        corruption_indices=corrupt_idx,
-    )
+    try:
+        idx_txt = meta.get("corruption_indices", "")
+        corrupt_idx = np.array([int(t) for t in idx_txt.split(",")] if idx_txt else [],
+                               dtype=int)
+        scalars = {key: float(meta.get(key, 0.0))
+                   for key in ("beta", "corruption_scale", "noise_bound")}
+        seed = int(meta.get("seed", 0))
+    except ValueError as exc:
+        raise InvalidBundle(f"{in_dir}: meta.txt: {exc}") from None
+    instance = ProblemInstance(x_hat=x_hat, seed=seed, corruption_indices=corrupt_idx,
+                               **parts, **scalars)
+    _check_bundle(instance, in_dir)
+    return instance
+
+
+def _check_bundle(inst, in_dir):
+    def fail(what):
+        raise InvalidBundle(f"{in_dir}: {what}")
+
+    A = inst.A
+    if A.ndim != 2 or A.size == 0:
+        fail("A.mtx does not hold a nonempty matrix")
+    m, n = A.shape
+    vectors = {attr: getattr(inst, attr) for attr in _BUNDLE_FILES if attr != "A"}
+    for attr, v in vectors.items():
+        if v.shape != (m,):
+            fail(f"{_BUNDLE_FILES[attr]} has shape {v.shape}, expected ({m},)")
+    if inst.x_hat is not None and inst.x_hat.shape != (n,):
+        fail(f"xhat.mtx has shape {inst.x_hat.shape}, expected ({n},)")
+    for attr in ("A", "x_hat", *vectors):
+        v = getattr(inst, attr)
+        if v is not None and not np.all(np.isfinite(v)):
+            fail(f"{_BUNDLE_FILES.get(attr, 'xhat.mtx')} has non-finite entries")
+    parts_sum = inst.b_clean + inst.b_corrupt + inst.noise
+    scale = 1.0 + max(np.abs(v).max() for v in vectors.values())
+    if np.abs(inst.b_observed - parts_sum).max() > _BUNDLE_RTOL * scale:
+        fail("b.mtx is not bclean.mtx + bcorrupt.mtx + noise.mtx")
+    idx = inst.corruption_indices
+    if idx.size and (idx.min() < 0 or idx.max() >= m or np.unique(idx).size != idx.size):
+        fail("corruption_indices must be distinct rows of A")
+    if np.abs(matrices.row_norms(A) - 1.0).max() > _BUNDLE_RTOL:
+        fail("the rows of A do not have unit norm")

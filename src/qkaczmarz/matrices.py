@@ -1,7 +1,11 @@
 """Dense matrix/vector helpers and Matrix Market text I/O.
 
-Matrices are plain float64 numpy arrays (2-D, row-major); vectors are 1-D
-arrays.  Everything here validates finiteness on entry and treats arrays as
+Matrices are plain float64 numpy arrays (2-D); vectors are 1-D arrays.  The
+package stores an instance's matrix column-major (Fortran order), as
+Matrix Market array files list it, so that the columns a sparse iterate
+uses are contiguous: `support_residuals` then costs O(m |supp x|) while
+4 |supp x| <= n.  Every function also accepts row-major arrays.  The
+validating helpers check finiteness on entry; arrays are treated as
 immutable afterwards.
 """
 
@@ -18,18 +22,27 @@ from .errors import (
 
 # Relative threshold below which a row counts as zero for normalization.
 ZERO_ROW_RTOL = 1e-14
-# Rows whose squares normalize_rows sums at a time: no temporary of A's size,
-# and the same sums as np.linalg.norm(A, axis=1), bit for bit.
+# Rows whose squares row_norms sums at a time: no temporary of A's size,
+# and the same sums as np.linalg.norm(A, axis=1) of a row-major A, bit for
+# bit, whatever A's layout.
 _NORM_BLOCK_ROWS = 256
+# Columns support_residuals gathers at a time, so its temporaries stay at
+# m * _SUPPORT_CHUNK floats.
+_SUPPORT_CHUNK = 16
 
 
 def as_matrix(a):
     """Coerce to a 2-D float64 array, checking shape and finiteness."""
+    a = _nonempty_2d(a)
+    if not np.all(np.isfinite(a)):
+        raise DimensionMismatch("matrix contains non-finite entries")
+    return a
+
+
+def _nonempty_2d(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"expected a nonempty 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatch("matrix contains non-finite entries")
     return a
 
 
@@ -52,12 +65,12 @@ def normalize_rows(A, out=None):
     ZERO_ROW_RTOL * max row norm.  A caller that owns A passes out=A to
     normalize it in place, without a second array of its size.
     """
-    A = as_matrix(A)
-    sq = np.empty(A.shape[0])
-    for i in range(0, A.shape[0], _NORM_BLOCK_ROWS):
-        block = A[i:i + _NORM_BLOCK_ROWS]
-        np.add.reduce(block * block, axis=1, out=sq[i:i + _NORM_BLOCK_ROWS])
-    scales = np.sqrt(sq)
+    A = _nonempty_2d(A)
+    scales = row_norms(A)
+    # a non-finite entry makes its row's norm non-finite, so the entrywise
+    # check is needed only then
+    if not np.all(np.isfinite(scales)):
+        as_matrix(A)
     threshold = ZERO_ROW_RTOL * scales.max()
     small = np.flatnonzero(scales <= threshold)
     if small.size:
@@ -65,8 +78,37 @@ def normalize_rows(A, out=None):
     return np.divide(A, scales[:, None], out=out), scales
 
 
+def row_norms(A):
+    """Euclidean norm of every row, summed over row-major copies of blocks of
+    rows, so the result does not depend on A's layout."""
+    sq = np.empty(A.shape[0])
+    for i in range(0, A.shape[0], _NORM_BLOCK_ROWS):
+        block = np.ascontiguousarray(A[i:i + _NORM_BLOCK_ROWS])
+        np.add.reduce(block * block, axis=1, out=sq[i:i + _NORM_BLOCK_ROWS])
+    return np.sqrt(sq)
+
+
+def support_residuals(A, x, b):
+    """<a_i, x> - b_i for every row, from the columns in supp x.
+
+    While 4 |supp x| <= n only those columns are read, _SUPPORT_CHUNK at a
+    time: O(m |supp x|) work, contiguous when A is column-major.  Otherwise
+    it is the full A @ x - b.  b may be a scalar.  No validation: this is
+    the solvers' per-iteration path.
+    """
+    S = np.flatnonzero(x)
+    if 4 * S.size > A.shape[1]:
+        return A @ x - b
+    r = np.zeros(A.shape[0])
+    for j in range(0, S.size, _SUPPORT_CHUNK):
+        cols = S[j:j + _SUPPORT_CHUNK]
+        r += A[:, cols] @ x[cols]
+    r -= b
+    return r
+
+
 def residuals(A, x, b):
-    """Signed residuals <a_i, x> - b_i for every row."""
+    """Signed residuals <a_i, x> - b_i for every row, validated."""
     A = as_matrix(A)
     x = as_vector(x)
     b = as_vector(b)
@@ -74,7 +116,7 @@ def residuals(A, x, b):
         raise DimensionMismatch(
             f"A is {A.shape}, x has length {x.shape[0]}, b has length {b.shape[0]}"
         )
-    return A @ x - b
+    return support_residuals(A, x, b)
 
 
 def frobenius_norm(A):
@@ -136,7 +178,8 @@ def mm_write(path, obj):
 
 
 def mm_read(path):
-    """Read a Matrix Market file; m-by-1 arrays come back as 1-D vectors."""
+    """Read a Matrix Market file into a column-major matrix; m-by-1 arrays
+    come back as 1-D vectors."""
     with open(path) as fh:
         raw = fh.readlines()
     if not raw:
@@ -181,13 +224,13 @@ def mm_read(path):
                 size_lineno, f"expected {expected} entries, found {len(entries)}"
             )
         if symmetry == "general":
-            # column-major entries; keep the result row-major like every
-            # other matrix of the package
-            out = np.ascontiguousarray(_parse_values(entries).reshape(n, m).T)
+            # the file lists the entries column by column: the column-major
+            # matrix is a view of them, with no copy
+            out = _parse_values(entries).reshape(n, m).T
         else:
             if m != n:
                 raise ParseError(size_lineno, "symmetric matrix must be square")
-            out = np.zeros((m, n))
+            out = np.zeros((m, n), order="F")
             it = iter(entries)
             for j in range(n):
                 for i in range(j, m):
@@ -205,7 +248,7 @@ def mm_read(path):
             raise ParseError(
                 size_lineno, f"expected {nnz} entries, found {len(entries)}"
             )
-        out = np.zeros((m, n))
+        out = np.zeros((m, n), order="F")
         for lineno, txt in entries:
             parts = txt.split()
             if len(parts) != 3:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bregman, quantiles, theory
-from .errors import ConfigInvalid, EmptyAcceptableSet, MissingGroundTruth
+from . import bregman, matrices, quantiles, theory
+from .errors import ConfigInvalid, Diverged, EmptyAcceptableSet, MissingGroundTruth
 
 METHODS = ("single-row-inexact", "single-row-exact", "averaged-block")
 
@@ -138,14 +138,16 @@ def step_single(state, instance, config, rng):
     A, b = instance.A, instance.b_observed
     m = A.shape[0]
     if config.quantile_q is not None:
-        abs_res = np.abs(A @ state.x - b)
+        abs_res = np.abs(matrices.support_residuals(A, state.x, b))
         Q = quantiles.q_quantile(abs_res, config.quantile_q)
         pool = quantiles.acceptable_set(abs_res, Q, strict=False)
     else:
         Q = np.nan
         pool = np.arange(m)
     i = sample_index(rng, pool)
-    a_i = A[i]
+    # a contiguous copy of the row: A is column-major, and the dot products
+    # below then sum in the same order whatever A's layout
+    a_i = np.ascontiguousarray(A[i])
     if config.method == "single-row-exact":
         t = bregman.exact_step(state.x_star, a_i, b[i], config.lam)
     else:
@@ -168,7 +170,7 @@ def step_averaged_block(state, instance, config):
     run() as convergence.
     """
     A, b = instance.A, instance.b_observed
-    res = A @ state.x - b
+    res = matrices.support_residuals(A, state.x, b)
     abs_res = np.abs(res)
     q = config.quantile_q if config.quantile_q is not None else 1.0
     Q = quantiles.q_quantile(abs_res, q)
@@ -179,7 +181,7 @@ def step_averaged_block(state, instance, config):
     else:
         w = resolve_stepsize(config.stepsize, A.shape[1])
     # scatter the weighted residuals into a zero m-vector instead of copying
-    # A[T]: v @ A streams A once, row-major, with no gather
+    # A[T]: v @ A streams A once, with no gather
     v = np.zeros(A.shape[0])
     v[T] = w * res[T]
     x_star = state.x_star - (v @ A) / eta
@@ -197,8 +199,8 @@ def run(instance, config, record_bregman=True):
 
     Stops at max_iters, at stop_tol on the relative error (needs x_hat), or
     when the averaged-block acceptable set empties with all residuals zero
-    (converged).  The trace records every trace_every-th iteration and the
-    final one.
+    (converged).  Raises Diverged as soon as the iterate is not finite.  The
+    trace records every trace_every-th iteration and the final one.
     """
     config.validate()
     A = instance.A
@@ -238,12 +240,14 @@ def run(instance, config, record_bregman=True):
             else:
                 state = step_single(state, instance, config, rng)
         except EmptyAcceptableSet:
-            res = A @ state.x - instance.b_observed
+            res = matrices.support_residuals(A, state.x, instance.b_observed)
             if np.abs(res).max(initial=0.0) <= _ZERO_RES_TOL * (1.0 + np.abs(instance.b_observed).max()):
                 state.converged = True
                 record(state)
                 return state, trace
             raise
+        if not np.isfinite(state.x).all():
+            raise Diverged(state.k)
 
         if quantile_bound is not None and not np.isnan(state.last_quantile):
             bound = quantile_bound(state.x)

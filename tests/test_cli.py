@@ -144,6 +144,33 @@ def test_solve_trials_median(tmp_path):
     assert len(rels) == 1 and float(rels[0]) > 0
 
 
+def test_solve_divergence_exits_1_naming_the_iteration(tmp_path, capsys):
+    # the iterate overflows: a named failure, not the empty acceptable set
+    # that the NaN residuals would leave
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(solve_args(tmp_path, ["--m", "200", "--n", "20", "--s", "3",
+                                             "--beta", "0.2", "--corruption", "10",
+                                             "--method", "quantile-raska",
+                                             "--w", "50n"]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "diverged" in err and "not finite after iteration" in err
+
+
+def test_solve_bundle_with_nan_exits_1(tmp_path, capsys):
+    bundle = tmp_path / "inst"
+    assert run_cli(["generate", "--m", "30", "--n", "5", "--s", "2",
+                    "--out", str(bundle)]) == 0
+    lines = (bundle / "b.mtx").read_text().splitlines()
+    lines[5] = "nan"
+    (bundle / "b.mtx").write_text("\n".join(lines) + "\n")
+    code = run_cli(["solve", "--instance", str(bundle), "--iters", "5",
+                    "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "b.mtx has non-finite entries" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_solve_unknown_method_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(solve_args(tmp_path, ["--method", "nonsense"]))
@@ -383,6 +410,33 @@ def test_jobs_is_an_experiment_flag_only(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + ["--jobs", "2", "--out", str(tmp_path / "ok")])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_experiment_refuses_flags_its_preset_does_not_read(tmp_path, capsys, preset):
+    values = {"full": [], "n": ["5"], "matrix": ["nothere.mtx"], "xhat": ["x.mtx"]}
+    reads = cli.PRESETS[preset].reads
+    for flag, value in values.items():
+        if flag in reads:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["experiment", preset, f"--{flag}", *value, "--trials", "1",
+                     "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert f"--{flag}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_preset_reads_lists_the_flags_its_grid_uses(preset):
+    # a flag a preset does not list must leave its grid unchanged
+    reads = cli.PRESETS[preset].reads
+    assert set(reads) <= set(cli._PRESET_FLAGS)
+    if "full" not in reads:
+        assert preset_grid(preset, False) == preset_grid(preset, True)
+    if "n" not in reads:
+        assert preset_grid(preset, False) == preset_grid(preset, False, [5])
+    assert ("matrix" in reads) == ("xhat" in reads) == (preset == "realdata")
 
 
 def test_experiment_realdata(tmp_path):

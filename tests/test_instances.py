@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qkaczmarz import instances, matrices
-from qkaczmarz.errors import SpecInvalid
+from qkaczmarz.errors import InvalidBundle, SpecInvalid
 
 rng = np.random.default_rng(11)
 
@@ -21,6 +21,20 @@ def test_same_seed_is_bit_exact():
     assert np.array_equal(a.b_observed, b.b_observed)
     assert np.array_equal(a.x_hat, b.x_hat)
     assert np.array_equal(a.corruption_indices, b.corruption_indices)
+
+
+@pytest.mark.parametrize("m, n", [(100, 20), (600, 7), (257, 40), (3, 1)])
+def test_generated_matrix_is_column_major_and_bit_identical(m, n):
+    # the blockwise draw into a column-major A takes the same stream values
+    # as one (m, n) draw and normalizes each row with the same sums
+    inst = instances.generate_gaussian(make_spec(m=m, n=n, sparsity=1, seed=9))
+    rng_ref = np.random.Generator(np.random.PCG64(9))
+    ref, _ = matrices.normalize_rows(rng_ref.standard_normal((m, n)))
+    assert inst.A.flags.f_contiguous
+    assert np.ascontiguousarray(inst.A).tobytes() == ref.tobytes()
+    # the later draws start where one (m, n) draw leaves the stream
+    support = np.sort(rng_ref.choice(n, size=1, replace=False))
+    assert np.flatnonzero(inst.x_hat).tolist() == support.tolist()
 
 
 def test_clean_instance_observed_equals_clean():
@@ -102,6 +116,7 @@ def test_from_files_pipeline(tmp_path):
     inst = instances.from_files(tmp_path / "A.mtx", x_hat_path=tmp_path / "x.mtx",
                                 beta=0.0, seed=1)
     A_norm, _ = matrices.normalize_rows(A)
+    assert inst.A.flags.f_contiguous and np.array_equal(inst.A, A_norm)
     assert np.allclose(inst.b_clean, A_norm @ x_hat, atol=1e-14)
     assert np.array_equal(inst.b_corrupt, np.zeros(4))
 
@@ -126,3 +141,57 @@ def test_bundle_roundtrip(tmp_path):
     assert np.array_equal(back.corruption_indices, inst.corruption_indices)
     assert back.beta == inst.beta
     assert back.seed == inst.seed
+
+
+def _edit_bundle(tmp_path, **files):
+    """A saved bundle with some Matrix Market files replaced by arrays, or
+    with the text of meta.txt replaced (meta=...)."""
+    inst = instances.generate_gaussian(make_spec())
+    bundle = tmp_path / "bundle"
+    instances.save_bundle(inst, bundle)
+    for fname, value in files.items():
+        if fname == "meta":
+            (bundle / "meta.txt").write_text(value)
+        else:
+            matrices.mm_write(bundle / f"{fname}.mtx", value)
+    return bundle
+
+
+def test_load_bundle_returns_column_major_matrix(tmp_path):
+    bundle = _edit_bundle(tmp_path)
+    assert instances.load_bundle(bundle).A.flags.f_contiguous
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan_in_b", "b.mtx has non-finite"),
+    ("inf_in_A", "A.mtx has non-finite"),
+    ("nan_in_xhat", "xhat.mtx has non-finite"),
+    ("short_noise", "noise.mtx has shape"),
+    ("long_xhat", "xhat.mtx has shape"),
+    ("b_not_the_sum", "b.mtx is not"),
+    ("duplicate_index", "distinct rows"),
+    ("index_out_of_range", "distinct rows"),
+    ("row_not_unit", "unit norm"),
+    ("bad_meta", "meta.txt"),
+])
+def test_load_bundle_rejects_invalid_bundles(tmp_path, case, message):
+    inst = instances.generate_gaussian(make_spec())
+    b, A = inst.b_observed.copy(), np.array(inst.A)
+    idx = inst.corruption_indices.tolist()
+    meta = ("beta=0.2\ncorruption_scale=100\nnoise_bound=0.02\nseed=7\n"
+            "corruption_indices={}\n")
+    edits = {
+        "nan_in_b": lambda: {"b": np.where(np.arange(b.size) == 3, np.nan, b)},
+        "inf_in_A": lambda: {"A": np.where(A == A[2, 1], np.inf, A)},
+        "nan_in_xhat": lambda: {"xhat": np.full(inst.n, np.nan)},
+        "short_noise": lambda: {"noise": inst.noise[:-1]},
+        "long_xhat": lambda: {"xhat": np.append(inst.x_hat, 1.0)},
+        "b_not_the_sum": lambda: {"b": b + 1e-6 * (np.arange(b.size) == 0)},
+        "duplicate_index": lambda: {"meta": meta.format(",".join(map(str, idx + idx[:1])))},
+        "index_out_of_range": lambda: {"meta": meta.format(",".join(map(str, idx + [inst.m])))},
+        "row_not_unit": lambda: {"A": A * np.where(np.arange(inst.m) == 5, 1.01, 1.0)[:, None]},
+        "bad_meta": lambda: {"meta": meta.format("1,two,3")},
+    }
+    bundle = _edit_bundle(tmp_path, **edits[case]())
+    with pytest.raises(InvalidBundle, match=message):
+        instances.load_bundle(bundle)

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from qkaczmarz import bregman, instances, quantiles, solvers
-from qkaczmarz.errors import ConfigInvalid, EmptyAcceptableSet
+from qkaczmarz.errors import ConfigInvalid, Diverged, EmptyAcceptableSet
 
 rng = np.random.default_rng(21)
 
@@ -172,6 +172,44 @@ def test_block_step_matches_gathered_rows_formula(weights):
 
 
 # ------------------------------------------------------------------- run
+
+@pytest.mark.parametrize("method, stepsize, iters", [
+    ("single-row-inexact", 1.0, 150),
+    ("single-row-exact", 1.0, 150),
+    # past ~100 iterations this block run wanders at its noise floor, where
+    # rounding differences grow by orders of magnitude within tens of steps
+    ("averaged-block", "1.5n", 60),
+])
+def test_row_major_instance_gives_the_same_trace(method, stepsize, iters):
+    # a hand-built instance with a row-major A takes the other paths of the
+    # residual and of the block update, with the same results to rounding
+    inst = gaussian_instance(400, 80, 6, beta=0.2, k=100.0, noise=0.02, seed=3)
+    row_major = replace(inst, A=np.ascontiguousarray(inst.A))
+    assert inst.A.flags.f_contiguous and row_major.A.flags.c_contiguous
+    config = solvers.SolverConfig(method=method, lam=1.0, quantile_q=0.7,
+                                  stepsize=stepsize, max_iters=iters, seed=2)
+    st_f, tr_f = solvers.run(inst, config)
+    st_c, tr_c = solvers.run(row_major, config)
+    assert tr_f.ks == tr_c.ks and tr_f.set_size == tr_c.set_size
+    for name in ("rel_error", "bregman_dist", "quantile"):
+        # relative to each column's largest value: bregman_dist is a
+        # difference of near-equal terms late in a run
+        f, c = np.array(getattr(tr_f, name)), np.array(getattr(tr_c, name))
+        assert np.abs(f - c).max() <= 1e-12 * np.abs(c).max(), name
+    assert np.abs(st_f.x - st_c.x).max() <= 1e-12 * np.abs(st_c.x).max()
+
+
+def test_run_raises_diverged_at_the_first_non_finite_iterate():
+    # a block stepsize of 50n overflows the iterate; the NaN residuals that
+    # follow must not be reported as an empty acceptable set
+    inst = gaussian_instance(200, 20, 3, beta=0.2, k=10.0, seed=0)
+    config = solvers.SolverConfig(method="averaged-block", quantile_q=0.7,
+                                  stepsize="50n", max_iters=1000)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged) as exc:
+        solvers.run(inst, config, record_bregman=False)
+    assert 100 < exc.value.k < 1000
+    assert f"iteration {exc.value.k}" in str(exc.value)
+
 
 def test_run_single_iteration_trace():
     inst = gaussian_instance(8, 3, 2, seed=2)
