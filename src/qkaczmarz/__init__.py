@@ -18,13 +18,10 @@ from .bregman import (
 )
 from .instances import GeneratorSpec, ProblemInstance, from_files, generate_gaussian
 from .matrices import (
-    frobenius_norm,
     mm_read,
     mm_write,
     normalize_rows,
-    one_two_norm,
     residuals,
-    submatrix,
 )
 from .quantiles import acceptable_set, q_quantile
 from .solvers import ConvergenceTrace, IterateState, SolverConfig, median_of_trials, run
@@ -47,13 +44,10 @@ __all__ = [
     "ProblemInstance",
     "from_files",
     "generate_gaussian",
-    "frobenius_norm",
     "mm_read",
     "mm_write",
     "normalize_rows",
-    "one_two_norm",
     "residuals",
-    "submatrix",
     "acceptable_set",
     "q_quantile",
     "ConvergenceTrace",

@@ -57,14 +57,20 @@ def validate_pair(x, x_star, lam, tol=PAIR_TOL):
         raise InvalidDualPair("x* - x != lam*sign(x) on the support")
 
 
-def bregman_distance(x, x_star, y, lam, validate=True):
-    """D(x, y) = f(y) - f(x) - <x*, y - x> for the pair (x, x*)."""
+def bregman_distance(x, x_star, y, lam, validate=True, f_y=None):
+    """D(x, y) = f(y) - f(x) - <x*, y - x> for the pair (x, x*).
+
+    A caller that measures many iterates against one y passes f_y =
+    f_value(y, lam), computed once; the result is the same to the bit.
+    """
     if validate:
         validate_pair(x, x_star, lam)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
-    return f_value(y, lam) - f_value(x, lam) - float(np.dot(x_star, y - x))
+    if f_y is None:
+        f_y = f_value(y, lam)
+    return f_y - f_value(x, lam) - float(np.dot(x_star, y - x))
 
 
 def exact_step(x_star, a, b, lam):
@@ -93,26 +99,38 @@ def exact_step(x_star, a, b, lam):
     live = a != 0
     a_live = a[live]
     x_live = x_star[live]
+    n_live = a_live.size
     lower = (x_live - lam) / a_live
     upper = (x_live + lam) / a_live
-    a2 = a_live * a_live
-    kinks = np.concatenate([np.minimum(lower, upper), np.maximum(lower, upper)])
-    order = np.argsort(kinks)
+    # the kinks, each with its signed slope change a_j^2 (entering component
+    # j's dead zone) or -a_j^2 (leaving it), written into 2n arrays in place
+    kinks = np.empty(2 * n_live)
+    np.minimum(lower, upper, out=kinks[:n_live])
+    np.maximum(lower, upper, out=kinks[n_live:])
+    signed = np.empty(2 * n_live)
+    np.multiply(a_live, a_live, out=signed[:n_live])
+    np.negative(signed[:n_live], out=signed[n_live:])
+    order = kinks.argsort()
     kinks = kinks[order]
-    # slope of g right of each kink: -||a||^2, +a_j^2 on entering component
-    # j's dead zone, -a_j^2 on leaving it
-    slope = np.cumsum(np.concatenate([a2, -a2])[order]) - a_sq
+    # slope of g right of each kink, starting from -||a||^2
+    slope = signed[order].cumsum()
+    slope -= a_sq
     # up to the first kink every live component is active
     g_start = (float(np.dot(a_live, x_live)) - lam * float(np.abs(a_live).sum())
                - b - kinks[0] * a_sq)
-    g_est = g_start + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(kinks))])
+    g_est = np.empty(2 * n_live)
+    g_est[0] = 0.0
+    steps = np.subtract(kinks[1:], kinks[:-1], out=g_est[1:])
+    steps *= slope[:-1]
+    steps.cumsum(out=steps)
+    g_est += g_start
 
     def g(ts):
         Z = x_live[None, :] - ts[:, None] * a_live[None, :]
         return soft_shrink(Z, lam) @ a_live - b
 
     last = kinks.size - 1
-    hi = min(max(int(np.argmax(g_est <= 0.0)), 1), last)
+    hi = min(max(int((g_est <= 0.0).argmax()), 1), last)
     lo = hi - 1
     g_first, g_lo, g_hi, g_last = g(kinks[[0, lo, hi, last]])
 

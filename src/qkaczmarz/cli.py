@@ -302,7 +302,7 @@ Point = namedtuple("Point", "labels method iters w q shape records trace level",
 # column asks for the best-label step (see _append_best).  reads names the
 # optional flags of _PRESET_FLAGS the preset uses; any other is refused.
 Preset = namedtuple("Preset", "header grid reads")
-_PRESET_FLAGS = ("full", "n", "matrix", "xhat")
+_PRESET_FLAGS = ("full", "n", "matrix", "xhat", "trials")
 
 
 def _corruption_scale(full, ns):
@@ -341,15 +341,16 @@ def _three_methods(block_iters, block_w, shape, level):
 
 PRESETS = {
     "corruption-scale": Preset(("method", "corruption_scale", "iters_to_5e-2",
-                                "final_rel_error"), _corruption_scale, ("full",)),
+                                "final_rel_error"), _corruption_scale, ("full", "trials")),
     "stepsize-sweep": Preset(("n", "w_over_n", "rel_error_at_20", "best_w_over_n"),
-                             _stepsize_sweep, ("full", "n")),
-    "qbeta-grid": Preset(("q", "rel_error_at_40", "best_q"), _qbeta_grid, ("full",)),
+                             _stepsize_sweep, ("full", "n", "trials")),
+    "qbeta-grid": Preset(("q", "rel_error_at_40", "best_q"), _qbeta_grid,
+                         ("full", "trials")),
     "method-compare": Preset(
         ("method", "iters_to_1e-2", "final_rel_error"),
         lambda full, ns: _three_methods(
             3000, "1.7n", (2000, 200 if full else 100, 10, 100.0, 0.0), 1e-2),
-        ("full",)),
+        ("full", "trials")),
     "realdata": Preset(("method", "final_rel_error"),
                        lambda full, ns: _three_methods(500, "1.0n", None, None),
                        ("matrix", "xhat")),

@@ -15,14 +15,6 @@ class DimensionMismatch(QkzError):
     pass
 
 
-class IndexOutOfRange(QkzError):
-    pass
-
-
-class EmptySelection(QkzError):
-    pass
-
-
 class ParseError(QkzError):
     def __init__(self, line, message="malformed Matrix Market data"):
         self.line = line
@@ -52,8 +44,8 @@ class EmptyAcceptableSet(QkzError):
 class Diverged(QkzError):
     def __init__(self, k):
         self.k = k
-        super().__init__(f"the iterate is not finite after iteration {k}: "
-                         "the method diverged (try a smaller stepsize)")
+        super().__init__(f"the iterate or its distance to x_hat is not finite after "
+                         f"iteration {k}: the method diverged (try a smaller stepsize)")
 
 
 class InvalidBundle(QkzError):

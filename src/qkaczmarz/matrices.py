@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptySelection,
-    IndexOutOfRange,
     ParseError,
     UnsupportedField,
     ZeroRow,
@@ -96,11 +94,13 @@ def support_residuals(A, x, b):
     it is the full A @ x - b.  b may be a scalar.  No validation: this is
     the solvers' per-iteration path.
     """
-    S = np.flatnonzero(x)
+    S = x.nonzero()[0]
     if 4 * S.size > A.shape[1]:
         return A @ x - b
-    r = np.zeros(A.shape[0])
-    for j in range(0, S.size, _SUPPORT_CHUNK):
+    # the first chunk's product starts the sum: 0 + v would be v again
+    cols = S[:_SUPPORT_CHUNK]
+    r = A[:, cols] @ x[cols]
+    for j in range(_SUPPORT_CHUNK, S.size, _SUPPORT_CHUNK):
         cols = S[j:j + _SUPPORT_CHUNK]
         r += A[:, cols] @ x[cols]
     r -= b
@@ -117,30 +117,6 @@ def residuals(A, x, b):
             f"A is {A.shape}, x has length {x.shape[0]}, b has length {b.shape[0]}"
         )
     return support_residuals(A, x, b)
-
-
-def frobenius_norm(A):
-    return float(np.linalg.norm(as_matrix(A)))
-
-
-def one_two_norm(A):
-    """sqrt(sum_i ||a_i||_1^2), the row-wise (1,2) mixed norm."""
-    A = as_matrix(A)
-    row_l1 = np.abs(A).sum(axis=1)
-    return float(np.sqrt(np.sum(row_l1**2)))
-
-
-def submatrix(A, row_idx, col_idx):
-    """Rows of A indexed by row_idx crossed with columns indexed by col_idx."""
-    A = as_matrix(A)
-    rows = np.asarray(sorted(row_idx), dtype=int)
-    cols = np.asarray(sorted(col_idx), dtype=int)
-    if rows.size == 0 or cols.size == 0:
-        raise EmptySelection("row and column index sets must be non-empty")
-    m, n = A.shape
-    if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
-        raise IndexOutOfRange(f"indices out of range for shape {A.shape}")
-    return A[np.ix_(rows, cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ _INT_TOL = 1e-9
 
 
 def q_quantile(values, q):
-    """Order-statistic q-quantile of a non-empty sequence, 0 < q <= 1."""
+    """Order-statistic q-quantile of a non-empty sequence, 0 < q <= 1.
+
+    One np.partition puts the order statistic s[k] in place, with every
+    smaller value left of it, so s[k-1] is the largest of those: the same
+    value the full sort gives, bit for bit, without sorting.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptyInput("quantile of an empty sequence")
@@ -25,12 +30,14 @@ def q_quantile(values, q):
     n = values.size
     nq = n * q
     k = round(nq)
-    s = np.sort(values)
     if abs(nq - k) <= _INT_TOL * n:
         if k >= n:
-            return float(s[-1])
-        return float(0.5 * (s[k - 1] + s[k]))
-    return float(s[int(np.floor(nq))])
+            return float(values.max())
+        part = np.partition(values, k)
+        # s[k-1]; when k = 0 that is s[-1], the largest value of all
+        return float(0.5 * (part[:k or n].max() + part[k]))
+    k = int(nq)  # floor, nq > 0
+    return float(np.partition(values, k)[k])
 
 
 def acceptable_set(abs_residuals, Q, strict=False):
@@ -43,9 +50,9 @@ def acceptable_set(abs_residuals, Q, strict=False):
     if Q < 0:
         raise DimensionMismatch("threshold Q must be nonnegative")
     if strict:
-        idx = np.flatnonzero(abs_residuals < Q)
+        idx = (abs_residuals < Q).nonzero()[0]
     else:
-        idx = np.flatnonzero(abs_residuals <= Q)
+        idx = (abs_residuals <= Q).nonzero()[0]
     if idx.size == 0:
         raise EmptyAcceptableSet("no residual passes the quantile threshold")
     return idx

@@ -9,6 +9,7 @@ PCG64 stream, so identical (instance, config, seed) runs reproduce traces
 bit for bit on any platform.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -20,6 +21,8 @@ from .errors import ConfigInvalid, Diverged, EmptyAcceptableSet, MissingGroundTr
 METHODS = ("single-row-inexact", "single-row-exact", "averaged-block")
 
 _ZERO_RES_TOL = 1e-13
+# words sample_index draws: integers(0, _WORD_RANGE, dtype=np.uint64)
+_WORD_RANGE = 2**64
 
 
 @dataclass(frozen=True)
@@ -118,17 +121,47 @@ def zero_state(n):
     return IterateState(x=np.zeros(n), x_star=np.zeros(n))
 
 
-def sample_index(rng, pool):
-    """Uniform element of `pool` via rejection sampling on 64-bit draws."""
+class WordStream:
+    """The 64-bit words of a bit generator, handed out one at a time in
+    stream order and drawn from it in blocks.
+
+    `integers(0, 2**64, dtype=np.uint64)` returns the next word, the one a
+    Generator over the same bit generator would return for that call, so
+    sample_index takes either; a word costs a step through a list instead
+    of a numpy call.  The bit generator is read ahead by up to one block.
+    """
+
+    def __init__(self, bit_generator, block=256):
+        self._raw = bit_generator.random_raw
+        self._block = block
+        self._words = iter(())
+
+    def integers(self, low, high, dtype=None):
+        if low != 0 or high != _WORD_RANGE:
+            raise ValueError("a WordStream draws whole 64-bit words only")
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._raw(self._block).tolist())
+            word = next(self._words)
+        return word
+
+
+def sample_index(sampler, pool):
+    """Uniform element of `pool` via rejection sampling on 64-bit words.
+
+    The words come from `sampler.integers(0, 2**64, dtype=np.uint64)`: run
+    passes a WordStream, and a Generator over the same PCG64 state draws
+    the same words, one numpy call each.
+    """
     n = pool.shape[0]
-    limit = (2**64 // n) * n
+    limit = (_WORD_RANGE // n) * n
     while True:
-        word = int(rng.integers(0, 2**64, dtype=np.uint64))
+        word = int(sampler.integers(0, _WORD_RANGE, dtype=np.uint64))
         if word < limit:
             return int(pool[word % n])
 
 
-def step_single(state, instance, config, rng):
+def step_single(state, instance, config, sampler):
     """One single-row iteration (Algorithm-1 style), mutating nothing.
 
     With the quantile on: threshold at the residual q-quantile, sample
@@ -144,7 +177,7 @@ def step_single(state, instance, config, rng):
     else:
         Q = np.nan
         pool = np.arange(m)
-    i = sample_index(rng, pool)
+    i = sample_index(sampler, pool)
     # a contiguous copy of the row: A is column-major, and the dot products
     # below then sum in the same order whatever A's layout
     a_i = np.ascontiguousarray(A[i])
@@ -199,15 +232,19 @@ def run(instance, config, record_bregman=True):
 
     Stops at max_iters, at stop_tol on the relative error (needs x_hat), or
     when the averaged-block acceptable set empties with all residuals zero
-    (converged).  Raises Diverged as soon as the iterate is not finite.  The
-    trace records every trace_every-th iteration and the final one.
+    (converged).  Raises Diverged as soon as the iterate, or a relative
+    error or Bregman distance it records, is not finite; the overflow on
+    the way there is reported by that error alone, not by numpy warnings.
+    The trace records every trace_every-th iteration and the final one.
     """
     config.validate()
     A = instance.A
     x_hat = instance.x_hat
     if config.stop_tol is not None and x_hat is None:
         raise MissingGroundTruth("stop_tol needs a ground truth")
-    norm_hat = float(np.linalg.norm(x_hat)) if x_hat is not None else None
+    if x_hat is not None:
+        norm_hat = float(np.linalg.norm(x_hat))
+        f_hat = bregman.f_value(x_hat, config.lam)
 
     quantile_bound = None
     if config.check_quantile_bound:
@@ -216,57 +253,65 @@ def run(instance, config, record_bregman=True):
         sigma_max = float(np.linalg.svd(A, compute_uv=False)[0])
         quantile_bound = theory.lemma31_bound(instance, config.quantile_q, sigma_max)
 
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    sampler = WordStream(np.random.PCG64(config.seed))
     state = zero_state(A.shape[1])
     trace = ConvergenceTrace()
     start = time.perf_counter()
 
+    def rel_error(x):
+        # the 2-norm as np.linalg.norm computes it for a 1-D array
+        d = x - x_hat
+        return math.sqrt(d.dot(d)) / norm_hat
+
     def record(st):
         rel = dist = None
         if x_hat is not None:
-            rel = float(np.linalg.norm(st.x - x_hat)) / norm_hat
+            rel = rel_error(st.x)
             if record_bregman:
                 dist = bregman.bregman_distance(
-                    st.x, st.x_star, x_hat, config.lam, validate=False
+                    st.x, st.x_star, x_hat, config.lam, validate=False, f_y=f_hat
                 )
+            if not (math.isfinite(rel) and (dist is None or math.isfinite(dist))):
+                raise Diverged(st.k)
         trace.append(st.k, rel, dist, st.last_quantile, st.last_set_size,
                      time.perf_counter() - start)
         return rel
 
-    while state.k < config.max_iters:
-        try:
-            if config.method == "averaged-block":
-                state = step_averaged_block(state, instance, config)
-            else:
-                state = step_single(state, instance, config, rng)
-        except EmptyAcceptableSet:
-            res = matrices.support_residuals(A, state.x, instance.b_observed)
-            if np.abs(res).max(initial=0.0) <= _ZERO_RES_TOL * (1.0 + np.abs(instance.b_observed).max()):
-                state.converged = True
-                record(state)
-                return state, trace
-            raise
-        if not np.isfinite(state.x).all():
-            raise Diverged(state.k)
-
-        if quantile_bound is not None and not np.isnan(state.last_quantile):
-            bound = quantile_bound(state.x)
-            if state.last_quantile > bound + 1e-9:
-                raise AssertionError(
-                    f"residual quantile {state.last_quantile} exceeds bound "
-                    f"{bound} at iteration {state.k}"
-                )
-
-        due = state.k % config.trace_every == 0 or state.k == config.max_iters
-        rel = record(state) if due else None
-        if config.stop_tol is not None:
-            if rel is None:
-                rel = float(np.linalg.norm(state.x - x_hat)) / norm_hat
-            if rel <= config.stop_tol:
-                state.converged = True
-                if not due:
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.k < config.max_iters:
+            try:
+                if config.method == "averaged-block":
+                    state = step_averaged_block(state, instance, config)
+                else:
+                    state = step_single(state, instance, config, sampler)
+            except EmptyAcceptableSet:
+                res = matrices.support_residuals(A, state.x, instance.b_observed)
+                if np.abs(res).max(initial=0.0) <= _ZERO_RES_TOL * (1.0 + np.abs(instance.b_observed).max()):
+                    state.converged = True
                     record(state)
-                return state, trace
+                    return state, trace
+                raise
+            if not np.isfinite(state.x).all():
+                raise Diverged(state.k)
+
+            if quantile_bound is not None and not np.isnan(state.last_quantile):
+                bound = quantile_bound(state.x)
+                if state.last_quantile > bound + 1e-9:
+                    raise AssertionError(
+                        f"residual quantile {state.last_quantile} exceeds bound "
+                        f"{bound} at iteration {state.k}"
+                    )
+
+            due = state.k % config.trace_every == 0 or state.k == config.max_iters
+            rel = record(state) if due else None
+            if config.stop_tol is not None:
+                if rel is None:
+                    rel = rel_error(state.x)
+                if rel <= config.stop_tol:
+                    state.converged = True
+                    if not due:
+                        record(state)
+                    return state, trace
     return state, trace
 
 

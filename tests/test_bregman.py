@@ -37,6 +37,16 @@ def test_soft_shrink_full():
     assert np.allclose(bregman.soft_shrink(np.array([2.0, -2.0]), 3.0), [0.0, 0.0])
 
 
+def test_soft_shrink_matches_the_sign_formula_bytewise():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 3.0, -3.0]
+    v = np.concatenate([special, rng.standard_normal(200) * 3.0])
+    for lam in (0.0, 0.5, 1.0, 3.0):
+        with np.errstate(invalid="ignore"):
+            ref = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
+            got = bregman.soft_shrink(v, lam)
+        assert got.tobytes() == ref.tobytes(), lam
+
+
 @given(
     hnp.arrays(np.float64, 5, elements=st.floats(-100, 100)),
     hnp.arrays(np.float64, 5, elements=st.floats(-100, 100)),

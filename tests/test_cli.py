@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,21 @@ def test_solve_divergence_exits_1_naming_the_iteration(tmp_path, capsys):
                                              "--method", "quantile-raska",
                                              "--w", "50n"]))
     assert code == 1
+    err = capsys.readouterr().err
+    assert "diverged" in err and "not finite after iteration" in err
+
+
+def test_solve_short_diverging_run_exits_1_without_warnings(tmp_path, capsys):
+    # the trace's norms overflow long before the iterate does: the run stops
+    # there, and numpy's overflow warnings stay silent
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(solve_args(tmp_path, ["--m", "200", "--n", "20", "--s", "3",
+                                             "--beta", "0.2", "--corruption", "10",
+                                             "--method", "quantile-raska",
+                                             "--w", "50n", "--iters", "200"]))
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert "diverged" in err and "not finite after iteration" in err
 
@@ -457,6 +473,21 @@ def test_experiment_realdata(tmp_path):
     for fname in ("trace_quantile-rka.csv", "trace_quantile-erask.csv",
                   "trace_quantile-raska.csv"):
         assert os.path.exists(tmp_path / "out" / fname)
+
+
+def test_experiment_realdata_refuses_trials(tmp_path, capsys):
+    # realdata makes one run on the file instance: --trials would be ignored
+    from qkaczmarz import matrices
+
+    matrices.mm_write(tmp_path / "A.mtx", np.random.default_rng(0).standard_normal((60, 8)))
+    matrices.mm_write(tmp_path / "x.mtx", np.eye(8)[1])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["experiment", "realdata", "--matrix", str(tmp_path / "A.mtx"),
+                 "--xhat", str(tmp_path / "x.mtx"), "--trials", "7",
+                 "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "--trials" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_experiment_realdata_needs_paths(tmp_path):

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from qkaczmarz import matrices
 from qkaczmarz.errors import (
     DimensionMismatch,
-    EmptySelection,
-    IndexOutOfRange,
     ParseError,
     UnsupportedField,
     ZeroRow,
@@ -151,43 +149,6 @@ def test_row_norms_do_not_depend_on_layout():
     N, scales = matrices.normalize_rows(F, out=F)
     assert N is F and N.flags.f_contiguous
     assert np.array_equal(N, A / ref[:, None]) and np.array_equal(scales, ref)
-
-
-def test_one_two_norm_identity():
-    assert matrices.one_two_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
-
-
-def test_one_two_norm_single_row():
-    assert matrices.one_two_norm(np.array([[0.6, 0.8]])) == pytest.approx(1.4)
-
-
-def test_one_two_norm_matches_direct_summation():
-    A = rng.standard_normal((4, 3))
-    direct = np.sqrt(sum(np.abs(A[i]).sum() ** 2 for i in range(4)))
-    assert matrices.one_two_norm(A) == pytest.approx(direct, rel=1e-14)
-
-
-def test_one_two_norm_dominates_frobenius():
-    for _ in range(20):
-        A = rng.standard_normal((5, 4))
-        assert matrices.one_two_norm(A) >= matrices.frobenius_norm(A)
-
-
-def test_frobenius_identity():
-    assert matrices.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
-
-
-def test_submatrix():
-    S = matrices.submatrix(np.eye(3), {0, 2}, {1})
-    assert S.shape == (2, 1)
-    assert np.allclose(S, [[0.0], [0.0]])
-
-
-def test_submatrix_errors():
-    with pytest.raises(EmptySelection):
-        matrices.submatrix(np.eye(3), set(), {0})
-    with pytest.raises(IndexOutOfRange):
-        matrices.submatrix(np.eye(3), {0, 5}, {0})
 
 
 def test_mm_roundtrip_matrix(tmp_path):

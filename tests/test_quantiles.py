@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkaczmarz import quantiles
@@ -63,6 +63,49 @@ def test_q_quantile_permutation_invariant(vals, q):
     shuffled = list(vals)
     np.random.RandomState(0).shuffle(shuffled)
     assert quantiles.q_quantile(vals, q) == quantiles.q_quantile(shuffled, q)
+
+
+def sorted_order_statistic(values, q):
+    """The q-quantile as one full sort computes it: the reference the
+    partition in q_quantile must match bit for bit."""
+    s = np.sort(values)
+    n = s.size
+    nq = n * q
+    k = round(nq)
+    if abs(nq - k) <= 1e-9 * n:
+        if k >= n:
+            return float(s[-1])
+        return float(0.5 * (s[k - 1] + s[k]))
+    return float(s[int(np.floor(nq))])
+
+
+@st.composite
+def quantile_cases(draw):
+    n = draw(st.integers(1, 3000))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([None, 1, 2, 7, 100]))
+    if levels is None:
+        values = gen.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    else:
+        values = gen.integers(0, levels, n).astype(float)  # ties
+    if draw(st.booleans()):
+        values = np.abs(values)  # residuals, as the solvers pass them
+    kind = draw(st.sampled_from(["integral", "fractional", "one"]))
+    if kind == "one":
+        q = 1.0
+    elif kind == "integral":
+        q = draw(st.integers(1, n)) / n
+    else:
+        q = draw(st.floats(1e-3, 1.0))
+    return values, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(quantile_cases())
+def test_q_quantile_equals_the_sorted_order_statistic(case):
+    values, q = case
+    got = np.float64(quantiles.q_quantile(values, q))
+    assert got.tobytes() == np.float64(sorted_order_statistic(values, q)).tobytes()
 
 
 def test_q_quantile_monotone_in_q():

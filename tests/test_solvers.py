@@ -20,6 +20,11 @@ def toy_instance(A, b, x_hat=None, beta=0.0, noise=None):
     )
 
 
+def word_stream(seed):
+    """The row-draw words run() uses for `seed`."""
+    return solvers.WordStream(np.random.PCG64(seed))
+
+
 def gaussian_instance(m, n, s, beta=0.0, k=0.0, noise=0.0, seed=0):
     return instances.generate_gaussian(
         instances.GeneratorSpec(m=m, n=n, sparsity=s, beta=beta,
@@ -33,11 +38,11 @@ def test_single_step_hand_iteration_inexact():
     inst = toy_instance([[1.0]], [2.0])
     config = solvers.SolverConfig(method="single-row-inexact", lam=1.0,
                                   max_iters=2, seed=0)
-    rng_ = np.random.Generator(np.random.PCG64(0))
+    sampler = word_stream(0)
     st0 = solvers.zero_state(1)
-    st1 = solvers.step_single(st0, inst, config, rng_)
+    st1 = solvers.step_single(st0, inst, config, sampler)
     assert st1.x[0] == pytest.approx(1.0)  # S_1(2)
-    st2 = solvers.step_single(st1, inst, config, rng_)
+    st2 = solvers.step_single(st1, inst, config, sampler)
     assert st2.x[0] == pytest.approx(2.0)  # S_1(3)
 
 
@@ -45,8 +50,8 @@ def test_single_step_hand_iteration_exact():
     inst = toy_instance([[1.0]], [2.0])
     config = solvers.SolverConfig(method="single-row-exact", lam=1.0,
                                   max_iters=1, seed=0)
-    rng_ = np.random.Generator(np.random.PCG64(0))
-    st1 = solvers.step_single(solvers.zero_state(1), inst, config, rng_)
+    sampler = word_stream(0)
+    st1 = solvers.step_single(solvers.zero_state(1), inst, config, sampler)
     assert st1.x[0] == pytest.approx(2.0)
 
 
@@ -56,9 +61,9 @@ def test_single_step_zero_residuals_is_fixed_point():
     inst = toy_instance(A, A @ x)
     config = solvers.SolverConfig(method="single-row-inexact", lam=0.0,
                                   quantile_q=0.5, max_iters=1, seed=0)
-    rng_ = np.random.Generator(np.random.PCG64(0))
+    sampler = word_stream(0)
     st = solvers.IterateState(x=x.copy(), x_star=x.copy(), k=3)
-    nxt = solvers.step_single(st, inst, config, rng_)
+    nxt = solvers.step_single(st, inst, config, sampler)
     assert nxt.k == 4
     assert np.allclose(nxt.x, x, atol=1e-12)
 
@@ -68,8 +73,8 @@ def test_inexact_equals_exact_when_lambda_zero():
     for method in ("single-row-inexact", "single-row-exact"):
         config = solvers.SolverConfig(method=method, lam=0.0, quantile_q=0.6,
                                       max_iters=1, seed=9)
-        rng_ = np.random.Generator(np.random.PCG64(9))
-        st = solvers.step_single(solvers.zero_state(4), inst, config, rng_)
+        sampler = word_stream(9)
+        st = solvers.step_single(solvers.zero_state(4), inst, config, sampler)
         if method == "single-row-inexact":
             ref = st.x
         else:
@@ -269,16 +274,16 @@ def test_exact_variant_hyperplane_membership_each_step():
     config = solvers.SolverConfig(method="single-row-exact", lam=1.0,
                                   quantile_q=0.6, max_iters=1, seed=0)
     A, b = inst.A, inst.b_observed
-    rng_engine = np.random.Generator(np.random.PCG64(42))
-    rng_replay = np.random.Generator(np.random.PCG64(42))
+    engine_words = word_stream(42)
+    replay_words = word_stream(42)
     engine = solvers.zero_state(5)
     state = solvers.zero_state(5)
     for _ in range(300):
-        engine = solvers.step_single(engine, inst, config, rng_engine)
+        engine = solvers.step_single(engine, inst, config, engine_words)
         abs_res = np.abs(A @ state.x - b)
         Q = quantiles.q_quantile(abs_res, 0.6)
         pool = quantiles.acceptable_set(abs_res, Q, strict=False)
-        i = solvers.sample_index(rng_replay, pool)
+        i = solvers.sample_index(replay_words, pool)
         t = bregman.exact_step(state.x_star, A[i], b[i], 1.0)
         x_star = state.x_star - t * A[i]
         state = solvers.IterateState(x=bregman.soft_shrink(x_star, 1.0),
@@ -291,10 +296,10 @@ def test_dual_pair_invariant_after_every_step():
     inst = gaussian_instance(25, 6, 2, beta=0.2, k=20.0, seed=6)
     config = solvers.SolverConfig(method="single-row-inexact", lam=0.7,
                                   quantile_q=0.6, max_iters=1, seed=0)
-    rng_ = np.random.Generator(np.random.PCG64(0))
+    sampler = word_stream(0)
     state = solvers.zero_state(6)
     for _ in range(500):
-        state = solvers.step_single(state, inst, config, rng_)
+        state = solvers.step_single(state, inst, config, sampler)
         bregman.validate_pair(state.x, state.x_star, 0.7)
 
 
@@ -327,6 +332,43 @@ def test_stop_tol_and_exit_state():
     assert state.k < 100_000
 
 
+# ------------------------------------------------------------- row draws
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_word_stream_yields_the_generator_words(block):
+    rng_ = np.random.Generator(np.random.PCG64(17))
+    words = solvers.WordStream(np.random.PCG64(17), block=block)
+    for _ in range(700):  # refills the block at least twice
+        assert words.integers(0, 2**64, dtype=np.uint64) == \
+            int(rng_.integers(0, 2**64, dtype=np.uint64))
+
+
+class HugePool:
+    """A pool of 3 * 2**62 indices: a quarter of the 64-bit words fall at
+    or above the largest multiple of its size and are rejected."""
+    shape = (3 * 2**62,)
+
+    def __getitem__(self, i):
+        return i
+
+
+def test_sample_index_draws_the_same_rows_from_a_word_stream_or_a_generator():
+    rng_ = np.random.Generator(np.random.PCG64(5))
+    words = solvers.WordStream(np.random.PCG64(5), block=7)
+    for pool in (HugePool(), np.arange(13), np.array([4])):
+        for _ in range(300):
+            assert solvers.sample_index(words, pool) == solvers.sample_index(rng_, pool)
+    # both consumed the same words, rejections included
+    assert words.integers(0, 2**64, dtype=np.uint64) == \
+        int(rng_.integers(0, 2**64, dtype=np.uint64))
+
+
+def test_word_stream_draws_whole_words_only():
+    words = solvers.WordStream(np.random.PCG64(0))
+    with pytest.raises(ValueError):
+        words.integers(0, 10, dtype=np.uint64)
+
+
 # --------------------------------------------------- reduction equivalences
 
 def reference_quantile_rk(inst, q, n_iters, seed, stepsize=1.0):
@@ -334,13 +376,13 @@ def reference_quantile_rk(inst, q, n_iters, seed, stepsize=1.0):
     quantile screening, sharing only the sampling helper."""
     A, b = inst.A, inst.b_observed
     x = np.zeros(A.shape[1])
-    rng_ = np.random.Generator(np.random.PCG64(seed))
+    sampler = word_stream(seed)
     traj = []
     for _ in range(n_iters):
         res = A @ x - b
         Q = quantiles.q_quantile(np.abs(res), q)
         pool = np.flatnonzero(np.abs(res) <= Q)
-        i = solvers.sample_index(rng_, pool)
+        i = solvers.sample_index(sampler, pool)
         x = x - stepsize * (np.dot(A[i], x) - b[i]) * A[i]
         traj.append(x.copy())
     return traj
@@ -349,21 +391,21 @@ def reference_quantile_rk(inst, q, n_iters, seed, stepsize=1.0):
 def reference_rk(inst, n_iters, seed):
     A, b = inst.A, inst.b_observed
     x = np.zeros(A.shape[1])
-    rng_ = np.random.Generator(np.random.PCG64(seed))
+    sampler = word_stream(seed)
     traj = []
     for _ in range(n_iters):
-        i = solvers.sample_index(rng_, np.arange(A.shape[0]))
+        i = solvers.sample_index(sampler, np.arange(A.shape[0]))
         x = x - (np.dot(A[i], x) - b[i]) * A[i]
         traj.append(x.copy())
     return traj
 
 
 def collect_trajectory(inst, config, n_iters):
-    rng_ = np.random.Generator(np.random.PCG64(config.seed))
+    sampler = word_stream(config.seed)
     state = solvers.zero_state(inst.n)
     traj = []
     for _ in range(n_iters):
-        state = solvers.step_single(state, inst, config, rng_)
+        state = solvers.step_single(state, inst, config, sampler)
         traj.append(state.x.copy())
     return traj
 
