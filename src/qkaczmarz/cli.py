@@ -143,7 +143,8 @@ def build_parser():
     e.add_argument("--beta", type=float, default=0.2)
     e.add_argument("--n", type=_int_list,
                    help="comma-separated n values (stepsize-sweep)")
-    e.add_argument("--trials", type=int, help="default 21, or 100 with --full")
+    e.add_argument("--trials", type=int,
+                   help="trials per generated point: default 21, or 100 with --full")
     e.add_argument("--matrix", help="Matrix Market matrix (realdata)")
     e.add_argument("--xhat", help="Matrix Market ground truth (realdata)")
     e.add_argument("--timings", action="store_true")

@@ -23,6 +23,8 @@ METHODS = ("single-row-inexact", "single-row-exact", "averaged-block")
 _ZERO_RES_TOL = 1e-13
 # words sample_index draws: integers(0, _WORD_RANGE, dtype=np.uint64)
 _WORD_RANGE = 2**64
+# words a WordStream draws from its bit generator at a time
+_WORD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,8 @@ class WordStream:
     of a numpy call.  The bit generator is read ahead by up to one block.
     """
 
-    def __init__(self, bit_generator, block=256):
+    def __init__(self, bit_generator):
         self._raw = bit_generator.random_raw
-        self._block = block
         self._words = iter(())
 
     def integers(self, low, high, dtype=None):
@@ -141,7 +142,7 @@ class WordStream:
             raise ValueError("a WordStream draws whole 64-bit words only")
         word = next(self._words, None)
         if word is None:
-            self._words = iter(self._raw(self._block).tolist())
+            self._words = iter(self._raw(_WORD_BLOCK).tolist())
             word = next(self._words)
         return word
 

@@ -334,11 +334,10 @@ def test_stop_tol_and_exit_state():
 
 # ------------------------------------------------------------- row draws
 
-@pytest.mark.parametrize("block", [1, 3, 256])
-def test_word_stream_yields_the_generator_words(block):
+def test_word_stream_yields_the_generator_words():
     rng_ = np.random.Generator(np.random.PCG64(17))
-    words = solvers.WordStream(np.random.PCG64(17), block=block)
-    for _ in range(700):  # refills the block at least twice
+    words = solvers.WordStream(np.random.PCG64(17))
+    for _ in range(3 * solvers._WORD_BLOCK + 1):  # three refills
         assert words.integers(0, 2**64, dtype=np.uint64) == \
             int(rng_.integers(0, 2**64, dtype=np.uint64))
 
@@ -354,7 +353,7 @@ class HugePool:
 
 def test_sample_index_draws_the_same_rows_from_a_word_stream_or_a_generator():
     rng_ = np.random.Generator(np.random.PCG64(5))
-    words = solvers.WordStream(np.random.PCG64(5), block=7)
+    words = solvers.WordStream(np.random.PCG64(5))
     for pool in (HugePool(), np.arange(13), np.array([4])):
         for _ in range(300):
             assert solvers.sample_index(words, pool) == solvers.sample_index(rng_, pool)
