@@ -7,6 +7,7 @@ zeroed in files unless --timings is given (wall time goes to stdout).
 """
 
 import argparse
+import dataclasses
 import os
 import shlex
 import sys
@@ -18,10 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from . import instances, solvers, theory
+from . import instances, matrices, solvers, theory
 from .errors import BudgetExceeded, QkzError
-
-_FMT = "%.17g"
 
 METHOD_TABLE = {
     # name: (engine method, quantile on, force lambda 0)
@@ -51,7 +50,14 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x):
     if x is None or (isinstance(x, float) and np.isnan(x)):
         return ""
-    return _FMT % x
+    return matrices.FMT % x
+
+
+def _cell(v):
+    """A report or summary value as text: floats by _fmt, booleans lowercase."""
+    if isinstance(v, float):
+        return _fmt(v)
+    return str(v).lower() if isinstance(v, bool) else str(v)
 
 
 def _atomic_write(path, text):
@@ -247,42 +253,33 @@ def cmd_generate(args, parser):
     return 0
 
 
-def _solver_config(args):
-    engine, quantile_on, force_zero_lam = METHOD_TABLE[args.method]
-    q = (0.7 if args.q is None else args.q) if quantile_on else None
-    return solvers.SolverConfig(
-        method=engine,
-        lam=0.0 if force_zero_lam else args.lam,
-        quantile_q=q,
-        stepsize=args.w,
-        max_iters=args.iters,
-        seed=args.seed,
-        trace_every=args.trace_every,
-        stop_tol=args.stop_tol,
-    )
+def _method_config(method, q, lam, **settings):
+    """SolverConfig of a CLI method: its engine, lambda forced to 0 for the
+    non-sparse methods, and no q when its quantile filter is off."""
+    engine, quantile_on, force_zero_lam = METHOD_TABLE[method]
+    return solvers.SolverConfig(method=engine, lam=0.0 if force_zero_lam else lam,
+                                quantile_q=q if quantile_on else None, **settings)
 
 
 def cmd_solve(args, parser):
     inst = _instance_from_args(args, parser)
-    config = _solver_config(args)
+    config = _method_config(
+        args.method, 0.7 if args.q is None else args.q, args.lam, stepsize=args.w,
+        max_iters=args.iters, seed=args.seed, trace_every=args.trace_every,
+        stop_tol=args.stop_tol,
+    )
     start = time.perf_counter()
     if args.trials > 1:
         trace = solvers.median_of_trials(lambda j: inst, config, args.trials)
-        reached = True if config.stop_tol is None else (
-            trace.rel_error[-1] is not None
-            and trace.rel_error[-1] <= config.stop_tol
-        )
-        final_rel = trace.rel_error[-1]
-        iters = trace.ks[-1]
     else:
-        state, trace = solvers.run(inst, config)
-        reached = config.stop_tol is None or state.converged
-        final_rel = trace.rel_error[-1]
-        iters = state.k
+        _, trace = solvers.run(inst, config)
     wall = time.perf_counter() - start
+    final_rel = trace.rel_error[-1]
+    reached = config.stop_tol is None or (
+        final_rel is not None and final_rel <= config.stop_tol)
     path = args.trace or os.path.join(args.out, f"trace_{args.method}.csv")
     write_trace_csv(path, trace, timings=args.timings)
-    print(f"method={args.method} iters={iters} "
+    print(f"method={args.method} iters={trace.ks[-1]} "
           f"rel_error={_fmt(final_rel)} wall_s={wall:.3f} trace={path}")
     return 0 if reached else 2
 
@@ -361,8 +358,7 @@ PRESETS = {
 def _summary_csv(args, name, header, rows):
     lines = ["# cmd: " + args.cmd_line, ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     _atomic_write(os.path.join(args.out, name), "\n".join(lines) + "\n")
 
 
@@ -376,12 +372,9 @@ def _first_k_below(trace, level):
 def _run_point(args, inst, trials, point):
     """Median trace over trials on generated instances, or one run on the
     file instance; writes the trace CSV and returns the summary row."""
-    engine, _, force_zero_lam = METHOD_TABLE[point.method]
-    config = solvers.SolverConfig(
-        method=engine, lam=0.0 if force_zero_lam else 1.0, quantile_q=point.q,
-        stepsize=point.w, max_iters=point.iters, seed=args.seed,
-        trace_every=max(1, point.iters // point.records),
-    )
+    config = _method_config(point.method, point.q, 1.0, stepsize=point.w,
+                            max_iters=point.iters, seed=args.seed,
+                            trace_every=max(1, point.iters // point.records))
     if point.shape is None:
         _, trace = solvers.run(inst, config)
     else:
@@ -456,38 +449,17 @@ def cmd_spectral(args, parser):
         print(f"error: {exc}", file=sys.stderr)
         print("hint: rerun with --sampled", file=sys.stderr)
         return 1
-    pairs = [
-        ("mode", report.mode),
-        ("samples", report.samples),
-        ("row_subset_size", report.row_subset_size),
-        ("sigma_max", _fmt(report.sigma_max)),
-        ("sigma_min", _fmt(report.sigma_min)),
-        ("sigma_tilde_min", _fmt(report.sigma_tilde_min)),
-        ("sigma_q_beta_min_rowcol", _fmt(report.sigma_q_beta_min_rowcol)),
-        ("sigma_q_beta_min_rows", _fmt(report.sigma_q_beta_min_rows)),
-    ]
+    values = dataclasses.asdict(report)
     if inst.x_hat is not None:
-        consts = theory.theorem_constants(report, inst, args.q, args.lam)
-        pairs += [
-            ("alpha", _fmt(consts.alpha)),
-            ("kappa_tilde", _fmt(consts.kappa_tilde)),
-            ("gamma", _fmt(consts.gamma)),
-            ("C1", _fmt(consts.C1)),
-            ("C2", _fmt(consts.C2)),
-            ("condition2", str(consts.condition2_holds).lower()),
-            ("C", _fmt(consts.C)),
-            ("condition_corrupted", str(consts.condition_corrupted_holds).lower()),
-        ]
-        if not consts.condition2_holds:
-            print("warning: convergence condition (noisy case) fails",
-                  file=sys.stderr)
-        if not consts.condition_corrupted_holds:
-            print("warning: convergence condition (corrupted case) fails",
-                  file=sys.stderr)
-    for key, val in pairs:
-        print(f"{key}={val}")
-    _summary_csv(args, "spectral.csv", [k for k, _ in pairs],
-                 [tuple(v for _, v in pairs)])
+        values.update(dataclasses.asdict(
+            theory.theorem_constants(report, inst, args.q, args.lam)))
+        for key, case in (("condition2", "noisy"), ("condition_corrupted", "corrupted")):
+            if not values[key]:
+                print(f"warning: convergence condition ({case} case) fails",
+                      file=sys.stderr)
+    for key, val in values.items():
+        print(f"{key}={_cell(val)}")
+    _summary_csv(args, "spectral.csv", list(values), [tuple(values.values())])
     return 0
 
 

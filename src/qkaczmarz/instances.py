@@ -144,19 +144,6 @@ def from_files(matrix_path, x_hat_path=None, rhs_path=None, beta=0.0,
                              noise_bound, seed, rng)
 
 
-def corruption_mask(instance):
-    """Indices of the corrupted rows."""
-    return np.asarray(instance.corruption_indices, dtype=int)
-
-
-def is_detected(instance, acceptable):
-    """(corrupted-in-set, clean-in-set) counts for an acceptable index set."""
-    acceptable = np.asarray(acceptable, dtype=int)
-    mask = set(corruption_mask(instance).tolist())
-    corrupted = sum(1 for i in acceptable.tolist() if i in mask)
-    return corrupted, acceptable.size - corrupted
-
-
 # ---------------------------------------------------------------------------
 # On-disk bundles: a directory of Matrix Market files plus meta.txt.
 # ---------------------------------------------------------------------------
@@ -171,6 +158,8 @@ _BUNDLE_FILES = {
     "noise": "noise.mtx",
     "b_observed": "b.mtx",
 }
+# The float fields of meta.txt, in the order save_bundle writes them.
+_META_SCALARS = ("beta", "corruption_scale", "noise_bound")
 
 
 def save_bundle(instance, out_dir):
@@ -180,13 +169,9 @@ def save_bundle(instance, out_dir):
         matrices.mm_write(os.path.join(out_dir, fname), getattr(instance, attr))
     if instance.x_hat is not None:
         matrices.mm_write(os.path.join(out_dir, "xhat.mtx"), instance.x_hat)
-    meta = {
-        "beta": "%.17g" % instance.beta,
-        "corruption_scale": "%.17g" % instance.corruption_scale,
-        "noise_bound": "%.17g" % instance.noise_bound,
-        "seed": str(instance.seed),
-        "corruption_indices": ",".join(str(i) for i in instance.corruption_indices),
-    }
+    meta = {key: matrices.FMT % getattr(instance, key) for key in _META_SCALARS}
+    meta["seed"] = str(instance.seed)
+    meta["corruption_indices"] = ",".join(str(i) for i in instance.corruption_indices)
     with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
         for key, val in meta.items():
             fh.write(f"{key}={val}\n")
@@ -216,8 +201,7 @@ def load_bundle(in_dir):
         idx_txt = meta.get("corruption_indices", "")
         corrupt_idx = np.array([int(t) for t in idx_txt.split(",")] if idx_txt else [],
                                dtype=int)
-        scalars = {key: float(meta.get(key, 0.0))
-                   for key in ("beta", "corruption_scale", "noise_bound")}
+        scalars = {key: float(meta.get(key, 0.0)) for key in _META_SCALARS}
         seed = int(meta.get("seed", 0))
     except ValueError as exc:
         raise InvalidBundle(f"{in_dir}: meta.txt: {exc}") from None

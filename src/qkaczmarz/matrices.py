@@ -128,7 +128,8 @@ def residuals(A, x, b):
 # line numbers and so output precision is under our control.
 # ---------------------------------------------------------------------------
 
-_FMT = "%.17g"
+# How the package writes a float as text: enough digits to read it back exactly.
+FMT = "%.17g"
 
 
 def mm_write(path, obj):
@@ -144,7 +145,7 @@ def mm_write(path, obj):
     else:
         raise DimensionMismatch(f"cannot write array of ndim {obj.ndim}")
     m, n = body.shape
-    line = _FMT + "\n"
+    line = FMT + "\n"
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
         # Array format lists entries column by column; formatting one column

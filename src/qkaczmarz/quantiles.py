@@ -4,7 +4,8 @@ The quantile convention follows the order-statistic definition used by
 quantile-filtered Kaczmarz methods: with n values sorted ascending, the
 q-quantile is y_([nq]+1) when nq is not an integer and the midpoint of
 y_(nq) and y_(nq+1) when it is.  q = 1 returns the maximum (the midpoint
-rule would need y_(n+1)).
+rule would need y_(n+1)), and a q so small that nq rounds to 0 the minimum
+(it would need y_(0)).
 """
 
 import numpy as np
@@ -33,9 +34,10 @@ def q_quantile(values, q):
     if abs(nq - k) <= _INT_TOL * n:
         if k >= n:
             return float(values.max())
+        if k == 0:
+            return float(values.min())
         part = np.partition(values, k)
-        # s[k-1]; when k = 0 that is s[-1], the largest value of all
-        return float(0.5 * (part[:k or n].max() + part[k]))
+        return float(0.5 * (part[:k].max() + part[k]))
     k = int(nq)  # floor, nq > 0
     return float(np.partition(values, k)[k])
 

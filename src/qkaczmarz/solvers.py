@@ -32,8 +32,7 @@ class SolverConfig:
     method: str = "single-row-inexact"
     lam: float = 1.0
     quantile_q: float | None = None      # None disables the quantile filter
-    stepsize: float | str = 1.0          # constant w, "1.7n", or weight table
-    row_weights: np.ndarray | None = None
+    stepsize: float | str = 1.0          # constant w or "1.7n"
     max_iters: int = 1000
     seed: int = 0
     trace_every: int = 1
@@ -43,52 +42,42 @@ class SolverConfig:
     def validate(self):
         if self.method not in METHODS:
             raise ConfigInvalid(f"unknown method {self.method!r}")
-        if self.lam < 0:
-            raise ConfigInvalid("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigInvalid(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.quantile_q is not None and not 0.0 < self.quantile_q <= 1.0:
             raise ConfigInvalid("quantile_q must lie in (0, 1]")
         if self.max_iters < 1:
             raise ConfigInvalid("max_iters must be >= 1")
         if self.trace_every < 1:
             raise ConfigInvalid("trace_every must be >= 1")
-        if self.stop_tol is not None and self.stop_tol < 0:
-            raise ConfigInvalid("stop_tol must be nonnegative")
-        if isinstance(self.stepsize, str):
-            resolve_stepsize(self.stepsize, 1)
-        elif self.row_weights is None and not self.stepsize > 0:
-            raise ConfigInvalid("constant stepsize must be positive")
-        if self.row_weights is not None and np.any(np.asarray(self.row_weights) <= 0):
-            raise ConfigInvalid("per-row weights must be positive")
+        if self.stop_tol is not None and not (
+                math.isfinite(self.stop_tol) and self.stop_tol >= 0):
+            raise ConfigInvalid(
+                f"stop_tol must be finite and nonnegative, got {self.stop_tol}")
+        resolve_stepsize(self.stepsize, 1)
 
 
 def resolve_stepsize(stepsize, n):
     """Turn a stepsize policy into a constant w.
 
-    Accepts a positive float, a numeric string, or a string like "1.7n"
-    meaning coefficient times the column count.
+    Accepts a positive finite float, a numeric string, or a string like
+    "1.7n" meaning coefficient times the column count ("n" alone is 1n).
     """
+    scale = 1
     if isinstance(stepsize, str):
         txt = stepsize.strip()
         if txt.endswith("n"):
-            scale = n
-            txt = txt[:-1]
-            coeff_default = 1.0
-        else:
-            scale = 1
-            coeff_default = None
+            scale, txt = n, txt[:-1] or "1"
         try:
-            coeff = float(txt) if txt else coeff_default
+            coeff = float(txt)
         except ValueError:
-            coeff = None
-        if coeff is None:
-            raise ConfigInvalid(f"bad stepsize spec {stepsize!r}")
-        if coeff <= 0:
-            raise ConfigInvalid("stepsize coefficient must be positive")
-        return coeff * scale
-    w = float(stepsize)
-    if w <= 0:
-        raise ConfigInvalid("constant stepsize must be positive")
-    return w
+            raise ConfigInvalid(f"stepsize w must be a number or a number "
+                                f"followed by n, got {stepsize!r}") from None
+    else:
+        coeff = float(stepsize)
+    if not (math.isfinite(coeff) and coeff > 0):
+        raise ConfigInvalid(f"stepsize w must be positive and finite, got {stepsize!r}")
+    return coeff * scale
 
 
 @dataclass
@@ -210,10 +199,7 @@ def step_averaged_block(state, instance, config):
     Q = quantiles.q_quantile(abs_res, q)
     T = quantiles.acceptable_set(abs_res, Q, strict=True)
     eta = T.shape[0]
-    if config.row_weights is not None:
-        w = np.asarray(config.row_weights, dtype=float)[T]
-    else:
-        w = resolve_stepsize(config.stepsize, A.shape[1])
+    w = resolve_stepsize(config.stepsize, A.shape[1])
     # scatter the weighted residuals into a zero m-vector instead of copying
     # A[T]: v @ A streams A once, with no gather
     v = np.zeros(A.shape[0])
@@ -326,6 +312,7 @@ def median_of_trials(instance_for_trial, config, trials):
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
+    config.validate()   # before its stop_tol is dropped
     base = replace(config, stop_tol=None)
     traces = []
     for j in range(trials):

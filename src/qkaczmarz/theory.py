@@ -31,14 +31,14 @@ EXACT_BUDGET_DEFAULT = 2_000_000
 
 @dataclass(frozen=True)
 class SpectralReport:
+    mode: str                        # "exact" | "sampled"
+    samples: int
+    row_subset_size: int
     sigma_max: float
     sigma_min: float
     sigma_tilde_min: float
     sigma_q_beta_min_rowcol: float   # min over row subsets x column subsets
     sigma_q_beta_min_rows: float     # min over row subsets (all columns)
-    mode: str                        # "exact" | "sampled"
-    samples: int
-    row_subset_size: int
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class TheoremConstants:
     gamma: float
     C1: float
     C2: float
-    condition2_holds: bool
+    condition2: bool
     C: float
-    condition_corrupted_holds: bool
+    condition_corrupted: bool
 
 
 def _compact_sigma_min(M):
@@ -349,7 +349,7 @@ def theorem_constants(spectral, instance, q, lam):
         gamma=gamma,
         C1=C1,
         C2=C2,
-        condition2_holds=cond2,
+        condition2=cond2,
         C=C,
-        condition_corrupted_holds=condc,
+        condition_corrupted=condc,
     )

@@ -193,6 +193,25 @@ def test_solve_unknown_method_exits_1(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("extra, name", [
+    (["--lambda", "nan"], "lambda"),
+    (["--lambda", "inf"], "lambda"),
+    (["--w", "nann"], "stepsize w"),
+    (["--w", "inf"], "stepsize w"),
+    (["--w", "nan", "--method", "quantile-raska"], "stepsize w"),
+    (["--stop-tol", "nan"], "stop_tol"),
+    (["--stop-tol", "nan", "--trials", "3"], "stop_tol"),
+], ids=["lambda-nan", "lambda-inf", "w-nann", "w-inf", "raska-w-nan",
+        "stop-tol-nan", "trials-stop-tol-nan"])
+def test_solve_non_finite_setting_exits_1_naming_it(tmp_path, capsys, extra, name):
+    # refused before the first iteration, also where the method never reads it
+    code = run_cli(solve_args(tmp_path, ["--iters", "50"] + extra))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert name in err and "diverged" not in err
+    assert not any(p.name.startswith("trace_") for p in tmp_path.iterdir())
+
+
 def test_solve_timings_writes_real_elapsed(tmp_path):
     run_cli(solve_args(tmp_path, ["--iters", "50", "--timings",
                                   "--trace-every", "50",
@@ -305,6 +324,22 @@ def test_spectral_report(tmp_path, capsys):
     assert kv["condition2"] in ("true", "false")
     header, rows = read_csv(tmp_path / "spectral.csv")
     assert header[:2] == ["mode", "samples"] and len(rows) == 1
+
+
+def test_spectral_keys_keep_their_order(tmp_path, capsys):
+    bundle = make_bundle(tmp_path)
+    capsys.readouterr()
+    code = run_cli(["spectral", "--instance", bundle, "--q", "0.5",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    keys = [line.split("=", 1)[0]
+            for line in capsys.readouterr().out.strip().splitlines()]
+    header, _ = read_csv(tmp_path / "spectral.csv")
+    assert header == keys == [
+        "mode", "samples", "row_subset_size", "sigma_max", "sigma_min",
+        "sigma_tilde_min", "sigma_q_beta_min_rowcol", "sigma_q_beta_min_rows",
+        "alpha", "kappa_tilde", "gamma", "C1", "C2", "condition2", "C",
+        "condition_corrupted"]
 
 
 def test_summary_cmd_line_is_mains_argv_relative_to_out(tmp_path):

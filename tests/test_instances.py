@@ -92,20 +92,23 @@ def test_spec_invalid():
 
 
 def test_corruption_mask_and_detection():
+    # round(beta m) distinct rows, ascending, carry the corruption and no
+    # other row does
     inst = instances.generate_gaussian(make_spec())
-    mask = instances.corruption_mask(inst)
-    assert mask.size == 20
-    full = np.arange(inst.m)
-    corrupted, clean = instances.is_detected(inst, full)
-    assert corrupted == 20 and clean == 80
-    disjoint = np.setdiff1d(full, mask)
-    corrupted, clean = instances.is_detected(inst, disjoint)
-    assert corrupted == 0 and clean == 80
+    idx = inst.corruption_indices
+    assert idx.size == 20
+    assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < inst.m
+    clean = np.setdiff1d(np.arange(inst.m), idx)
+    assert clean.size == 80
+    assert np.all(inst.b_corrupt[clean] == 0.0)
+    assert np.all(inst.b_corrupt[idx] != 0.0)
+    assert np.all(np.abs(inst.b_corrupt[idx]) <= 100.0)
 
 
 def test_corruption_mask_empty_when_beta_zero():
     inst = instances.generate_gaussian(make_spec(beta=0.0))
-    assert instances.corruption_mask(inst).size == 0
+    assert inst.corruption_indices.size == 0
+    assert np.all(inst.b_corrupt == 0.0)
 
 
 def test_from_files_pipeline(tmp_path):

@@ -40,6 +40,12 @@ def test_q_quantile_q_one_is_max():
     assert quantiles.q_quantile(v, 1.0) == v.max()
 
 
+def test_q_quantile_tiny_q_is_min():
+    # nq rounds to 0 and counts as integral: there is no y_(0) to average with
+    assert quantiles.q_quantile([1, 2, 3], 1e-12) == 1.0
+    assert quantiles.q_quantile([3, 2, 1], 1e-10) == 1.0
+
+
 def test_q_quantile_empty_input():
     with pytest.raises(EmptyInput):
         quantiles.q_quantile([], 0.5)

@@ -139,29 +139,12 @@ def test_block_singleton_matches_single_row_with_stepsize():
     assert st1.x[0] == pytest.approx(w * 2.0)
 
 
-def test_block_per_row_weights():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    inst = toy_instance(A, np.array([1.0, 1.0, 50.0]))
-    config = solvers.SolverConfig(method="averaged-block", lam=0.0,
-                                  quantile_q=0.7,
-                                  row_weights=np.array([2.0, 4.0, 1.0]),
-                                  max_iters=1)
-    st1 = solvers.step_averaged_block(solvers.zero_state(2), inst, config)
-    # |residuals| = (1, 1, 50); q=0.7: nq=2.1 -> Q = y_(3) = 50;
-    # strict filter keeps T = {0, 1}, eta = 2
-    assert st1.last_set_size == 2
-    assert st1.x[0] == pytest.approx(2.0 * 1.0 / 2)
-    assert st1.x[1] == pytest.approx(4.0 * 1.0 / 2)
-
-
-@pytest.mark.parametrize("weights", ["1.5n", "per-row"])
-def test_block_step_matches_gathered_rows_formula(weights):
+@pytest.mark.parametrize("stepsize", ["1.5n"])
+def test_block_step_matches_gathered_rows_formula(stepsize):
     inst = gaussian_instance(300, 40, 5, beta=0.2, k=100.0, noise=0.02, seed=5)
     m, n = inst.A.shape
-    row_weights = rng.uniform(0.5, 2.0, m) if weights == "per-row" else None
     config = solvers.SolverConfig(method="averaged-block", lam=1.0,
-                                  quantile_q=0.7, stepsize="1.5n",
-                                  row_weights=row_weights, max_iters=1)
+                                  quantile_q=0.7, stepsize=stepsize, max_iters=1)
     x_star = rng.standard_normal(n)
     state = solvers.IterateState(x=bregman.soft_shrink(x_star, 1.0),
                                  x_star=x_star)
@@ -169,8 +152,7 @@ def test_block_step_matches_gathered_rows_formula(weights):
 
     res = inst.A @ state.x - inst.b_observed
     T = quantiles.acceptable_set(np.abs(res), st1.last_quantile, strict=True)
-    w = row_weights[T] if row_weights is not None else 1.5 * n
-    step = inst.A[T].T @ (w * res[T]) / T.shape[0]
+    step = inst.A[T].T @ (1.5 * n * res[T]) / T.shape[0]
     assert 1 < st1.last_set_size == T.shape[0] < m
     assert np.linalg.norm((state.x_star - st1.x_star) - step) <= \
         1e-12 * np.linalg.norm(step)

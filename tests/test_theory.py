@@ -386,8 +386,8 @@ def test_theorem_constants_bundle():
     assert tc.gamma == pytest.approx(
         1.0 / (rep.sigma_tilde_min**2 * tc.alpha)
     )
-    assert isinstance(tc.condition2_holds, bool)
-    assert isinstance(tc.condition_corrupted_holds, bool)
+    assert isinstance(tc.condition2, bool)
+    assert isinstance(tc.condition_corrupted, bool)
 
 
 def test_theorem_constants_bundle_needs_ground_truth():
