@@ -14,10 +14,12 @@ may sum in another order, and the 10000x500 block traces then differ.
 
 `--quick` runs only the smallest shape.  `--cli` then runs a small CLI
 journey in a temporary directory (generate; solve with every method, with
---trials and with --stop-tol; sampled spectral; every experiment preset,
-realdata on the generated bundle) and prints, per command, its exit code
-and the sha256 of its stdout and stderr with `wall_s` values stripped, then
-the sha256 of every file the journey wrote.  Point PYTHONPATH at another
+--trials, with --stop-tol and with a --config file that one flag overrides;
+sampled spectral, and exact spectral on an 8x3 bundle; every experiment
+preset, qbeta-grid also on two threads, realdata on the generated bundle)
+and prints, per command, its exit code and the sha256 of its stdout and
+stderr with `wall_s` values stripped, then the sha256 of every file the
+journey wrote.  Point PYTHONPATH at another
 checkout's src to digest its CLI with the same journey:
 
     PYTHONPATH=../parent/src python3 scripts/trace_digest.py --cli > old.txt
@@ -55,6 +57,8 @@ METHODS = ("rk", "rask", "erask", "quantile-rk", "quantile-rask",
            "quantile-erask", "quantile-rka", "quantile-raska")
 GENERATE = ["--m", "200", "--n", "20", "--s", "3", "--beta", "0.2",
             "--corruption", "100", "--noise", "0.02", "--seed", "3"]
+# written to run.cfg before the journey; the solve that reads it sets --iters
+CONFIG = "method=quantile-erask\niters=1000\nlambda=0.5\ntrace-every=10\n"
 # (name, argv, expected exit code); paths are relative to the journey's
 # directory, so the outputs do not depend on where it lies
 JOURNEY = (
@@ -73,15 +77,24 @@ JOURNEY = (
                                        "--method", "quantile-rask", "--iters", "50",
                                        "--stop-tol", "1e-9", "--trace",
                                        "solve/untol.csv"], 2),
+       ("solve --config", ["solve", "--instance", "bundle", "--config", "run.cfg",
+                           "--iters", "200", "--trace", "solve/config.csv"], 0),
        ("spectral --sampled", ["spectral", "--instance", "bundle", "--q", "0.7",
                                "--sampled", "--samples", "200", "--seed", "5",
                                "--out", "spectral"], 0),
+       ("generate 8x3", ["generate", "--m", "8", "--n", "3", "--s", "1", "--beta",
+                         "0.2", "--corruption", "10", "--seed", "4", "--out",
+                         "tiny"], 0),
+       ("spectral exact", ["spectral", "--instance", "tiny", "--q", "0.7",
+                           "--out", "spectral-exact"], 0),
        ("experiment corruption-scale", ["experiment", "corruption-scale",
                                         "--trials", "1", "--out", "exp/cs"], 0),
        ("experiment stepsize-sweep", ["experiment", "stepsize-sweep", "--n", "20",
                                       "--trials", "2", "--out", "exp/ss"], 0),
        ("experiment qbeta-grid", ["experiment", "qbeta-grid", "--trials", "2",
                                   "--out", "exp/qb"], 0),
+       ("experiment qbeta-grid --jobs 2", ["experiment", "qbeta-grid", "--trials",
+                                           "1", "--jobs", "2", "--out", "exp/qb2"], 0),
        ("experiment method-compare", ["experiment", "method-compare",
                                       "--trials", "1", "--out", "exp/mc"], 0),
        ("experiment realdata", ["experiment", "realdata", "--matrix", "bundle/A.mtx",
@@ -126,6 +139,8 @@ def cli_journey():
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
+            with open("run.cfg", "w") as fh:
+                fh.write(CONFIG)
             for name, argv, expected in JOURNEY:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,9 +1,10 @@
 """Command-line front end: generate | solve | experiment | spectral.
 
 Exit codes: 0 success, 1 usage/config/IO error, 2 solve finished without
-reaching --stop-tol.  Every command honours --seed and writes files
-atomically, so repeated invocations are byte-identical; trace timings are
-zeroed in files unless --timings is given (wall time goes to stdout).
+reaching --stop-tol.  Every command honours --seed, so repeated invocations
+are byte-identical (block-method traces at a fixed BLAS thread count); trace
+timings are zeroed in files unless --timings is given (wall time goes to
+stdout).  Trace and summary CSVs are written atomically, bundle files in place.
 """
 
 import argparse
@@ -11,7 +12,6 @@ import dataclasses
 import os
 import shlex
 import sys
-import tempfile
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -47,25 +47,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x):
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return ""
-    return matrices.FMT % x
-
-
 def _cell(v):
-    """A report or summary value as text: floats by _fmt, booleans lowercase."""
+    """A value as CSV or stdout text: floats by matrices.FMT, None and NaN
+    empty, booleans lowercase."""
     if isinstance(v, float):
-        return _fmt(v)
+        return "" if np.isnan(v) else matrices.FMT % v
+    if v is None:
+        return ""
     return str(v).lower() if isinstance(v, bool) else str(v)
 
 
 def _atomic_write(path, text):
+    """Write a new file beside path, then move it into place; the file gets
+    the mode open() gives, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -75,21 +74,11 @@ def _atomic_write(path, text):
 
 
 def write_trace_csv(path, trace, timings=False):
+    elapsed = trace.elapsed if timings else [0.0] * len(trace.ks)
+    rows = zip(trace.ks, trace.rel_error, trace.bregman_dist, trace.quantile,
+               trace.set_size, elapsed)
     lines = ["k,rel_error,bregman_dist,quantile,set_size,elapsed_s"]
-    for pos, k in enumerate(trace.ks):
-        elapsed = trace.elapsed[pos] if timings else 0.0
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    _fmt(trace.rel_error[pos]),
-                    _fmt(trace.bregman_dist[pos]),
-                    _fmt(trace.quantile[pos]),
-                    str(trace.set_size[pos]),
-                    _fmt(elapsed),
-                ]
-            )
-        )
+    lines += [",".join(map(_cell, row)) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -249,7 +238,7 @@ def cmd_generate(args, parser):
     n_corrupt = inst.corruption_indices.size
     r_inf = float(np.abs(inst.noise).max(initial=0.0))
     print(f"seed={inst.seed} m={inst.m} n={inst.n} "
-          f"corrupted_rows={n_corrupt} noise_inf={_fmt(r_inf)}")
+          f"corrupted_rows={n_corrupt} noise_inf={_cell(r_inf)}")
     return 0
 
 
@@ -280,7 +269,7 @@ def cmd_solve(args, parser):
     path = args.trace or os.path.join(args.out, f"trace_{args.method}.csv")
     write_trace_csv(path, trace, timings=args.timings)
     print(f"method={args.method} iters={trace.ks[-1]} "
-          f"rel_error={_fmt(final_rel)} wall_s={wall:.3f} trace={path}")
+          f"rel_error={_cell(final_rel)} wall_s={wall:.3f} trace={path}")
     return 0 if reached else 2
 
 

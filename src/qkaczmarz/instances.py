@@ -8,6 +8,7 @@ the fixed order: matrix entries, support, support values, corruption
 indices, corruption values, noise.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -35,10 +36,17 @@ class GeneratorSpec:
             raise SpecInvalid("m and n must be positive")
         if not 0 <= self.sparsity <= self.n:
             raise SpecInvalid("sparsity must lie in [0, n]")
-        if not 0.0 <= self.beta < 1.0:
-            raise SpecInvalid("beta must lie in [0, 1)")
-        if self.corruption_scale < 0 or self.noise_bound < 0:
-            raise SpecInvalid("scales must be nonnegative")
+        _check_corruption(self.beta, self.corruption_scale, self.noise_bound)
+
+
+def _check_corruption(beta, corruption_scale, noise_bound):
+    """The corruption model's rule: beta in [0, 1), finite nonnegative scales."""
+    if not 0.0 <= beta < 1.0:
+        raise SpecInvalid(f"beta must lie in [0, 1), got {beta}")
+    for name, value in (("corruption scale", corruption_scale),
+                        ("noise bound", noise_bound)):
+        if not (math.isfinite(value) and value >= 0):
+            raise SpecInvalid(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,7 @@ def generate_gaussian(spec):
     A = np.empty((spec.m, spec.n), order="F")
     for i in range(0, spec.m, _DRAW_BLOCK_ROWS):
         block = rng.standard_normal((min(_DRAW_BLOCK_ROWS, spec.m - i), spec.n))
-        A[i:i + _DRAW_BLOCK_ROWS], _ = matrices.normalize_rows(block, out=block)
+        A[i:i + _DRAW_BLOCK_ROWS] = matrices.normalize_rows(block, out=block)
     support = np.sort(rng.choice(spec.n, size=spec.sparsity, replace=False))
     x_hat = np.zeros(spec.n)
     x_hat[support] = rng.standard_normal(spec.sparsity)
@@ -112,33 +120,23 @@ def _corrupt_and_pack(A, b_clean, x_hat, beta, k, noise_bound, seed, rng):
     )
 
 
-def from_files(matrix_path, x_hat_path=None, rhs_path=None, beta=0.0,
-               corruption_scale=0.0, noise_bound=0.0, seed=0):
-    """Build an instance from Matrix Market files.
+def from_files(matrix_path, x_hat_path, beta=0.0, corruption_scale=0.0,
+               noise_bound=0.0, seed=0):
+    """Build an instance from a Matrix Market matrix and ground truth.
 
-    Either a ground truth (x_hat_path, from which b_clean = A_norm @ x_hat)
-    or a raw right-hand side (rhs_path, rescaled by the row norms) must be
-    given.  Corruption and noise are injected exactly as in the Gaussian
-    generator, drawing from PCG64(seed).
+    A is row-normalized and b_clean = A @ x_hat.  Corruption and noise are
+    injected exactly as in the Gaussian generator, drawing from PCG64(seed).
     """
+    _check_corruption(beta, corruption_scale, noise_bound)
     A_raw = matrices.mm_read(matrix_path)
     if A_raw.ndim != 2:
         raise DimensionMismatch("matrix file does not hold a 2-D matrix")
     # mm_read returns a column-major array of its own: normalize it in place
-    A, scales = matrices.normalize_rows(A_raw, out=A_raw)
-    if (x_hat_path is None) == (rhs_path is None):
-        raise SpecInvalid("exactly one of x_hat_path / rhs_path is required")
-    if x_hat_path is not None:
-        x_hat = matrices.as_vector(matrices.mm_read(x_hat_path))
-        if x_hat.shape[0] != A.shape[1]:
-            raise DimensionMismatch("ground truth length does not match columns")
-        b_clean = matrices.support_residuals(A, x_hat, 0.0)
-    else:
-        x_hat = None
-        b = matrices.as_vector(matrices.mm_read(rhs_path))
-        if b.shape[0] != A.shape[0]:
-            raise DimensionMismatch("right-hand side length does not match rows")
-        b_clean = b / scales
+    A = matrices.normalize_rows(A_raw, out=A_raw)
+    x_hat = matrices.as_vector(matrices.mm_read(x_hat_path))
+    if x_hat.shape[0] != A.shape[1]:
+        raise DimensionMismatch("ground truth length does not match columns")
+    b_clean = matrices.support_residuals(A, x_hat, 0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return _corrupt_and_pack(A, b_clean, x_hat, beta, corruption_scale,
                              noise_bound, seed, rng)

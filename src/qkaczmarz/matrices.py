@@ -29,21 +29,6 @@ _NORM_BLOCK_ROWS = 256
 _SUPPORT_CHUNK = 16
 
 
-def as_matrix(a):
-    """Coerce to a 2-D float64 array, checking shape and finiteness."""
-    a = _nonempty_2d(a)
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatch("matrix contains non-finite entries")
-    return a
-
-
-def _nonempty_2d(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"expected a nonempty 2-D array, got shape {a.shape}")
-    return a
-
-
 def as_vector(v):
     """Coerce to a 1-D float64 array, checking finiteness."""
     v = np.asarray(v, dtype=float)
@@ -55,25 +40,27 @@ def as_vector(v):
 
 
 def normalize_rows(A, out=None):
-    """Scale every row of A to unit Euclidean norm.
+    """Scale every row of A to unit Euclidean norm; returns the normalized
+    matrix.
 
-    Returns (normalized matrix, scales) where `scales` holds the original row
-    norms.  Right-hand sides built against A must be divided by `scales` by
-    the caller.  Raises ZeroRow if any row norm falls below
-    ZERO_ROW_RTOL * max row norm.  A caller that owns A passes out=A to
-    normalize it in place, without a second array of its size.
+    Raises DimensionMismatch unless A is a nonempty 2-D array of finite
+    entries, and ZeroRow if any row norm falls below ZERO_ROW_RTOL * max
+    row norm.  A caller that owns A passes out=A to normalize it in place,
+    without a second array of its size.
     """
-    A = _nonempty_2d(A)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise DimensionMismatch(f"expected a nonempty 2-D array, got shape {A.shape}")
     scales = row_norms(A)
     # a non-finite entry makes its row's norm non-finite, so the entrywise
     # check is needed only then
-    if not np.all(np.isfinite(scales)):
-        as_matrix(A)
+    if not np.all(np.isfinite(scales)) and not np.all(np.isfinite(A)):
+        raise DimensionMismatch("matrix contains non-finite entries")
     threshold = ZERO_ROW_RTOL * scales.max()
     small = np.flatnonzero(scales <= threshold)
     if small.size:
         raise ZeroRow(int(small[0]))
-    return np.divide(A, scales[:, None], out=out), scales
+    return np.divide(A, scales[:, None], out=out)
 
 
 def row_norms(A):
@@ -105,18 +92,6 @@ def support_residuals(A, x, b):
         r += A[:, cols] @ x[cols]
     r -= b
     return r
-
-
-def residuals(A, x, b):
-    """Signed residuals <a_i, x> - b_i for every row, validated."""
-    A = as_matrix(A)
-    x = as_vector(x)
-    b = as_vector(b)
-    if A.shape[1] != x.shape[0] or A.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"A is {A.shape}, x has length {x.shape[0]}, b has length {b.shape[0]}"
-        )
-    return support_residuals(A, x, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Quantile-filtered randomized sparse Kaczmarz iterations.
 
 One engine covers the single-row method (inexact or exact dual step) and the
-averaged-block method, plus every baseline obtained by switching the quantile
-filter off (plain randomized / sparse Kaczmarz) or setting lambda = 0.
+averaged-block method, plus every baseline obtained by switching the
+single-row quantile filter off (plain randomized / sparse Kaczmarz) or by
+setting lambda = 0.
 
 Row index sampling uses rejection sampling on 64-bit words from a seeded
-PCG64 stream, so identical (instance, config, seed) runs reproduce traces
-bit for bit on any platform.
+PCG64 stream, so identical (instance, config, seed) runs draw the same rows.
+Averaged-block traces repeat bit for bit only at a fixed BLAS thread count:
+a threaded `v @ A` may sum in another order.
 """
 
 import math
@@ -44,7 +46,12 @@ class SolverConfig:
             raise ConfigInvalid(f"unknown method {self.method!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigInvalid(f"lambda must be finite and nonnegative, got {self.lam}")
-        if self.quantile_q is not None and not 0.0 < self.quantile_q <= 1.0:
+        if self.quantile_q is None:
+            if self.method == "averaged-block":
+                raise ConfigInvalid("the averaged-block method needs quantile_q")
+            if self.check_quantile_bound:
+                raise ConfigInvalid("the quantile bound check needs the quantile filter")
+        elif not 0.0 < self.quantile_q <= 1.0:
             raise ConfigInvalid("quantile_q must lie in (0, 1]")
         if self.max_iters < 1:
             raise ConfigInvalid("max_iters must be >= 1")
@@ -195,8 +202,7 @@ def step_averaged_block(state, instance, config):
     A, b = instance.A, instance.b_observed
     res = matrices.support_residuals(A, state.x, b)
     abs_res = np.abs(res)
-    q = config.quantile_q if config.quantile_q is not None else 1.0
-    Q = quantiles.q_quantile(abs_res, q)
+    Q = quantiles.q_quantile(abs_res, config.quantile_q)
     T = quantiles.acceptable_set(abs_res, Q, strict=True)
     eta = T.shape[0]
     w = resolve_stepsize(config.stepsize, A.shape[1])
@@ -235,8 +241,6 @@ def run(instance, config, record_bregman=True):
 
     quantile_bound = None
     if config.check_quantile_bound:
-        if config.quantile_q is None:
-            raise ConfigInvalid("the quantile bound check needs the quantile filter")
         sigma_max = float(np.linalg.svd(A, compute_uv=False)[0])
         quantile_bound = theory.lemma31_bound(instance, config.quantile_q, sigma_max)
 

@@ -143,10 +143,12 @@ def _random_nonempty_subset(rng, n):
 
 
 def _check_order(q, beta):
+    """The gap 1 - beta - q of every bound, after checking beta < q < 1 - beta."""
     if not beta < q < 1.0 - beta:
         raise ParameterOrderViolation(
             f"need beta < q < 1 - beta, got beta={beta}, q={q}"
         )
+    return 1.0 - beta - q
 
 
 def alpha_of(x_hat, lam):
@@ -174,25 +176,20 @@ def rask_rate(frob_norm, sigma_tilde_min, x_hat, lam):
     return 1.0 - 0.5 * alpha / kappa**2
 
 
-def theorem32_constants(spectral, m, n, q, beta, alpha, appendix_variant=False):
+def theorem32_constants(spectral, m, n, q, beta, alpha):
     """(C1, C2, condition) for the corrupted-and-noisy single-row theorem.
 
-    The theorem statement and the appendix's closing block disagree on the
-    sqrt(1-beta) factors multiplying the sigma_max / sqrt(mn) terms of C1;
-    the statement version is the default and appendix_variant=True exposes
-    the other for comparison.
+    C1 follows the theorem statement.  The appendix's closing block
+    disagrees on the sigma_max / sqrt(mn) terms of C1: it has no
+    sqrt(1-beta) factor in the middle term and sqrt(1-beta) instead of
+    2 sqrt(1-beta) in the last one.
     """
-    _check_order(q, beta)
+    g = _check_order(q, beta)
     smax = spectral.sigma_max
     sqb = spectral.sigma_q_beta_min_rowcol
-    g = 1.0 - beta - q
     lead = alpha * (q - beta) / (2.0 * q**2) * sqb**2 / m
-    if appendix_variant:
-        mid_extra = smax / np.sqrt(m * n)
-        last_extra = np.sqrt(1.0 - beta) * smax / np.sqrt(m * n)
-    else:
-        mid_extra = np.sqrt(1.0 - beta) * smax / np.sqrt(m * n)
-        last_extra = 2.0 * np.sqrt(1.0 - beta) * smax / np.sqrt(m * n)
+    mid_extra = np.sqrt(1.0 - beta) * smax / np.sqrt(m * n)
+    last_extra = 2.0 * np.sqrt(1.0 - beta) * smax / np.sqrt(m * n)
     mid = (2.0 * np.sqrt(beta * (1.0 - beta)) / (q * g)) * (smax**2 / m + mid_extra)
     last = (beta * (1.0 - beta) / (q * g**2)) * (smax**2 / m + last_extra)
     C1 = lead - mid - last
@@ -217,10 +214,9 @@ def theorem32_constants(spectral, m, n, q, beta, alpha, appendix_variant=False):
 
 def theorem33_constant(spectral, m, q, beta, alpha):
     """(C, condition) for the corruption-only single-row theorem."""
-    _check_order(q, beta)
+    g = _check_order(q, beta)
     smax = spectral.sigma_max
     sqb = spectral.sigma_q_beta_min_rowcol
-    g = 1.0 - beta - q
     drift = 2.0 * np.sqrt(beta) / np.sqrt(g) + beta / g
     C = (
         (q - beta) / (2.0 * q**2 * m) * alpha * sqb**2
@@ -237,12 +233,11 @@ def raska_rate_corrupted(spectral, m, q, beta, gamma, w):
     rate = 1 - linear(w) + quadratic(w); the condition requires
     0 < linear(w) - quadratic(w) < 1.
     """
-    _check_order(q, beta)
+    g = _check_order(q, beta)
     if w < 0:
         raise ParameterOrderViolation("stepsize must be nonnegative")
     smax = spectral.sigma_max
     sqb_rows = spectral.sigma_q_beta_min_rows
-    g = 1.0 - beta - q
     drift = np.sqrt(beta) / np.sqrt(g)
     lin = w / (gamma * q * m) * (sqb_rows**2 / smax**2 - drift)
     quad = w**2 * smax**2 / (gamma * q**2 * m**2) * (1.0 + drift) ** 2
@@ -262,8 +257,7 @@ def averaged_block_coefficients(q, beta):
       part, drift_r = 1 + (1-beta)sqrt(beta)/((1-beta-q)sqrt(q)) the noise
       part.
     """
-    _check_order(q, beta)
-    g = 1.0 - beta - q
+    g = _check_order(q, beta)
     drift_x = 1.0 + np.sqrt(beta * (1.0 - beta)) / g
     drift_r = 1.0 + (1.0 - beta) * np.sqrt(beta) / (g * np.sqrt(q))
     c1 = 1.0 / q
@@ -284,10 +278,9 @@ def raska_rate_noisy(spectral, m, n, q, beta, alpha, w):
       noise_coeff = c3* w + c4* w^2,
       w_opt       = c1* / (2 c2*).
     """
-    _check_order(q, beta)
+    c1, c2, c3, c4, c5, c6 = averaged_block_coefficients(q, beta)
     if w < 0:
         raise ParameterOrderViolation("stepsize must be nonnegative")
-    c1, c2, c3, c4, c5, c6 = averaged_block_coefficients(q, beta)
     smax = spectral.sigma_max
     st = spectral.sigma_tilde_min
     sqb_rows = spectral.sigma_q_beta_min_rows
@@ -317,18 +310,11 @@ def lemma31_bound(instance, q, sigma_max):
     if instance.x_hat is None:
         raise MissingGroundTruth("the quantile bound needs a ground truth")
     beta = instance.beta
-    _check_order(q, beta)
-    g = 1.0 - beta - q
+    g = _check_order(q, beta)
     lead = np.sqrt(1.0 - beta) / (g * np.sqrt(instance.m)) * sigma_max
     noise = (1.0 - beta) / g * np.abs(instance.noise).max(initial=0.0)
     x_hat = instance.x_hat
     return lambda x_k: lead * float(np.linalg.norm(np.asarray(x_k) - x_hat)) + noise
-
-
-def lemma31_check(x_k, instance, q, Q_k, sigma_max, tol=1e-9):
-    """Runtime residual-quantile inequality for single-row methods: True iff
-    Q_k <= lemma31_bound(instance, q, sigma_max)(x_k) + tol."""
-    return bool(Q_k <= lemma31_bound(instance, q, sigma_max)(x_k) + tol)
 
 
 def theorem_constants(spectral, instance, q, lam):

@@ -1,10 +1,14 @@
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkaczmarz import cli
 
@@ -212,6 +216,53 @@ def test_solve_non_finite_setting_exits_1_naming_it(tmp_path, capsys, extra, nam
     assert not any(p.name.startswith("trace_") for p in tmp_path.iterdir())
 
 
+@pytest.fixture
+def realdata_files(tmp_path):
+    from qkaczmarz import matrices
+
+    matrices.mm_write(tmp_path / "A.mtx", np.random.default_rng(0).standard_normal((60, 8)))
+    matrices.mm_write(tmp_path / "x.mtx", np.eye(8)[1])
+    return ["--matrix", str(tmp_path / "A.mtx"), "--xhat", str(tmp_path / "x.mtx")]
+
+
+GENERATED = ["--m", "40", "--n", "8", "--s", "3", "--beta", "0.2"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["generate", *GENERATED, "--corruption", "nan"], "corruption scale"),
+    (["solve", *GENERATED, "--noise", "inf"], "noise bound"),
+    (["solve", *GENERATED, "--noise", "nan"], "noise bound"),
+    (["solve", *GENERATED, "--corruption", "inf"], "corruption scale"),
+    (["experiment", "realdata", "--beta", "1.5"], "beta"),
+    (["experiment", "realdata", "--beta", "nan"], "beta"),
+    (["experiment", "realdata", "--beta", "-0.1"], "beta"),
+], ids=["generate-corruption-nan", "solve-noise-inf", "solve-noise-nan",
+        "solve-corruption-inf", "realdata-beta-1.5", "realdata-beta-nan",
+        "realdata-beta-negative"])
+def test_bad_corruption_setting_exits_1_naming_it(tmp_path, capsys, realdata_files,
+                                                  argv, name):
+    if argv[0] == "experiment":
+        argv = argv + realdata_files
+    code = run_cli(argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+
+
+def test_trace_csv_gets_the_mode_of_bundle_files(tmp_path):
+    # both are created the way open() creates a file: 0o666 less the umask
+    old = os.umask(0o022)
+    try:
+        assert run_cli(["generate", *GENERATED, "--out", str(tmp_path / "b")]) == 0
+        assert run_cli(["solve", "--instance", str(tmp_path / "b"), "--iters", "10",
+                        "--trace", str(tmp_path / "t.csv")]) == 0
+    finally:
+        os.umask(old)
+    mode = {p: stat.S_IMODE(os.stat(tmp_path / p).st_mode) for p in ("t.csv", "b/A.mtx")}
+    assert mode["t.csv"] == mode["b/A.mtx"] == 0o644
+
+
 def test_solve_timings_writes_real_elapsed(tmp_path):
     run_cli(solve_args(tmp_path, ["--iters", "50", "--timings",
                                   "--trace-every", "50",
@@ -298,6 +349,75 @@ def test_config_file_missing_exits_1(tmp_path):
         run_cli(["solve", "--config", str(tmp_path / "nope.cfg"),
                  "--m", "10", "--n", "4", "--s", "2"])
     assert exc.value.code == 1
+
+
+# solve options: (flag, dest, value texts); a value is parsed as its flag's
+SOLVE_SETTINGS = [
+    ("--method", "method", st.sampled_from(sorted(cli.METHOD_TABLE))),
+    ("--q", "q", st.floats(0.01, 1.0).map(repr)),
+    ("--lambda", "lam", st.floats(0.0, 10.0).map(repr)),
+    ("--w", "w", st.sampled_from(["1.0", "0.5", "1.7n", "n"])),
+    ("--iters", "iters", st.integers(1, 10**6).map(repr)),
+    ("--trials", "trials", st.integers(1, 50).map(repr)),
+    ("--trace-every", "trace_every", st.integers(1, 1000).map(repr)),
+    ("--stop-tol", "stop_tol", st.floats(0.0, 1.0).map(repr)),
+    ("--seed", "seed", st.integers(0, 2**31).map(repr)),
+    ("--m", "m", st.integers(1, 5000).map(repr)),
+    ("--s", "s", st.integers(0, 100).map(repr)),
+    ("--beta", "beta", st.floats(0.0, 0.99).map(repr)),
+    ("--noise", "noise", st.floats(0.0, 1.0).map(repr)),
+    ("--timings", "timings", st.sampled_from(["1", "true", "yes", "no", "0"])),
+]
+
+
+def _abbreviations(actions, flag):
+    """flag and every prefix of it that argparse resolves to flag alone."""
+    return [flag[:k] for k in range(3, len(flag) + 1)
+            if flag[:k] == flag or (flag[:k] not in actions and
+                                    sum(o.startswith(flag[:k]) for o in actions) == 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_file_and_flag_precedence(data):
+    # each setting goes nowhere, into the file, onto the command line (full
+    # or abbreviated) or both: the flag's value wins, then the file's, then
+    # the default
+    parser = cli.build_parser()
+    actions = parser.commands["solve"]._option_string_actions
+    expected, lines, argv = vars(parser.parse_args(["solve"])), [], ["solve"]
+    for flag, dest, texts in SOLVE_SETTINGS:
+        where = data.draw(st.sampled_from(["none", "file", "flag", "both"]))
+        action = actions[flag]
+        if where in ("file", "both"):
+            text = data.draw(texts)
+            key = data.draw(st.sampled_from([dest, flag[2:], flag[2:].replace("-", "_")]))
+            lines.append(f"{key}={text}")
+            expected[dest] = (text in ("1", "true", "yes") if action.nargs == 0
+                              else (action.type or str)(text))
+        if where in ("flag", "both"):
+            word = data.draw(st.sampled_from(_abbreviations(actions, flag)))
+            if action.nargs == 0:
+                argv.append(word)
+                expected[dest] = True
+            else:
+                text = data.draw(texts)
+                argv.append(f"{word}={text}")
+                expected[dest] = (action.type or str)(text)
+    seen = []
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        # no solve runs: cmd_solve only keeps the parsed args
+        mp.setattr(cli, "cmd_solve", lambda args, parser: seen.append(args) or 0)
+        if lines:
+            path = os.path.join(work, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            argv += ["--config", path]
+            expected["config"] = path
+        assert cli.main(argv) == 0
+    got = vars(seen[0])
+    got.pop("cmd_line")
+    assert got == expected
 
 
 # ----------------------------------------------------------------- spectral

@@ -29,7 +29,7 @@ def test_generated_matrix_is_column_major_and_bit_identical(m, n):
     # as one (m, n) draw and normalizes each row with the same sums
     inst = instances.generate_gaussian(make_spec(m=m, n=n, sparsity=1, seed=9))
     rng_ref = np.random.Generator(np.random.PCG64(9))
-    ref, _ = matrices.normalize_rows(rng_ref.standard_normal((m, n)))
+    ref = matrices.normalize_rows(rng_ref.standard_normal((m, n)))
     assert inst.A.flags.f_contiguous
     assert np.ascontiguousarray(inst.A).tobytes() == ref.tobytes()
     # the later draws start where one (m, n) draw leaves the stream
@@ -58,7 +58,7 @@ def test_unit_rows_and_feasible_ground_truth():
     inst = instances.generate_gaussian(make_spec(beta=0.0, corruption_scale=0.0,
                                                  noise_bound=0.0))
     assert np.abs(np.linalg.norm(inst.A, axis=1) - 1.0).max() < 1e-12
-    res = matrices.residuals(inst.A, inst.x_hat, inst.b_observed)
+    res = inst.A @ inst.x_hat - inst.b_observed
     assert np.abs(res).max() < 1e-10
 
 
@@ -118,7 +118,7 @@ def test_from_files_pipeline(tmp_path):
     matrices.mm_write(tmp_path / "x.mtx", x_hat)
     inst = instances.from_files(tmp_path / "A.mtx", x_hat_path=tmp_path / "x.mtx",
                                 beta=0.0, seed=1)
-    A_norm, _ = matrices.normalize_rows(A)
+    A_norm = matrices.normalize_rows(A)
     assert inst.A.flags.f_contiguous and np.array_equal(inst.A, A_norm)
     assert np.allclose(inst.b_clean, A_norm @ x_hat, atol=1e-14)
     assert np.array_equal(inst.b_corrupt, np.zeros(4))

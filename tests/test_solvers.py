@@ -212,6 +212,17 @@ def test_run_invalid_config():
         solvers.run(inst, solvers.SolverConfig(max_iters=0))
 
 
+@pytest.mark.parametrize("settings", [
+    dict(method="averaged-block"),
+    dict(method="single-row-inexact", check_quantile_bound=True),
+], ids=["block", "quantile-bound"])
+def test_config_without_quantile_is_refused_where_the_filter_is_needed(settings):
+    # the block method averages over the filtered rows only; with no filter
+    # it would drop the rows at the largest residual without saying so
+    with pytest.raises(ConfigInvalid, match="quantile"):
+        solvers.SolverConfig(quantile_q=None, **settings).validate()
+
+
 def test_run_same_seed_identical_traces():
     inst = gaussian_instance(30, 8, 3, beta=0.2, k=10.0, seed=4)
     config = solvers.SolverConfig(method="single-row-inexact", lam=1.0,

@@ -174,10 +174,6 @@ def test_theorem32_pinned_tuple():
     assert C1 == pytest.approx(-0.6518362703395635, rel=1e-12)
     assert C2 == pytest.approx(6.0375463768650235, rel=1e-12)
     assert cond is False
-    C1a, C2a, _ = theory.theorem32_constants(rep, 100, 20, 0.7, 0.1, 0.5,
-                                             appendix_variant=True)
-    assert C1a == pytest.approx(-0.5379546965089956, rel=1e-12)
-    assert C2a == C2
 
 
 def test_theorem32_beta_zero_limit():
@@ -321,10 +317,10 @@ def make_instance(**kw):
 def test_lemma31_check_true_and_false():
     inst = make_instance()
     sigma_max = float(np.linalg.svd(inst.A, compute_uv=False)[0])
-    x = np.zeros(inst.n)
+    bound = theory.lemma31_bound(inst, 0.5, sigma_max)(np.zeros(inst.n))
     # a tiny claimed quantile always passes; a huge one always fails
-    assert theory.lemma31_check(x, inst, 0.5, 0.0, sigma_max)
-    assert not theory.lemma31_check(x, inst, 0.5, 1e6, sigma_max)
+    assert 0.0 <= bound + 1e-9
+    assert not 1e6 <= bound + 1e-9
 
 
 def test_lemma31_bound_holds_along_the_residual_quantiles():
@@ -332,22 +328,23 @@ def test_lemma31_bound_holds_along_the_residual_quantiles():
 
     inst = make_instance()
     sigma_max = float(np.linalg.svd(inst.A, compute_uv=False)[0])
+    bound = theory.lemma31_bound(inst, 0.5, sigma_max)
     for _ in range(200):
         x = inst.x_hat + rng.standard_normal(inst.n) * rng.uniform(0, 3)
         Q = quantiles.q_quantile(np.abs(inst.A @ x - inst.b_observed), 0.5)
-        assert theory.lemma31_check(x, inst, 0.5, Q, sigma_max)
+        assert Q <= bound(x) + 1e-9
 
 
 def test_lemma31_requires_ground_truth_and_order():
     inst = make_instance()
     sigma_max = 1.0
     with pytest.raises(ParameterOrderViolation):
-        theory.lemma31_check(np.zeros(inst.n), inst, 0.1, 0.0, sigma_max)
+        theory.lemma31_bound(inst, 0.1, sigma_max)
     from dataclasses import replace
 
     blind = replace(inst, x_hat=None)
     with pytest.raises(MissingGroundTruth):
-        theory.lemma31_check(np.zeros(inst.n), blind, 0.5, 0.0, sigma_max)
+        theory.lemma31_bound(blind, 0.5, sigma_max)
 
 
 # -------------------------------------------------------- error-bound lemma
