@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage/config/IO error, 2 solve finished without
 reaching --stop-tol.  Every command honours --seed, so repeated invocations
 are byte-identical (block-method traces at a fixed BLAS thread count); trace
 timings are zeroed in files unless --timings is given (wall time goes to
-stdout).  Trace and summary CSVs are written atomically, bundle files in place.
+stdout).  Every file is written beside its target and moved into place.
 """
 
 import argparse
@@ -57,29 +57,13 @@ def _cell(v):
     return str(v).lower() if isinstance(v, bool) else str(v)
 
 
-def _atomic_write(path, text):
-    """Write a new file beside path, then move it into place; the file gets
-    the mode open() gives, 0o666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "x") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_trace_csv(path, trace, timings=False):
     elapsed = trace.elapsed if timings else [0.0] * len(trace.ks)
     rows = zip(trace.ks, trace.rel_error, trace.bregman_dist, trace.quantile,
                trace.set_size, elapsed)
-    lines = ["k,rel_error,bregman_dist,quantile,set_size,elapsed_s"]
-    lines += [",".join(map(_cell, row)) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with matrices.write_atomic(path) as fh:
+        fh.write("k,rel_error,bregman_dist,quantile,set_size,elapsed_s\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _add_common(p):
@@ -92,15 +76,26 @@ def _add_generator_flags(p):
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int, help="sparsity of the ground truth")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--corruption", type=float, default=0.0,
-                   help="corruption scale k: entries drawn from U(-k, k)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="noise bound: entries drawn from U(-bound, bound)")
+    p.add_argument("--beta", type=float, help="corrupted fraction (default 0)")
+    p.add_argument("--corruption", type=float,
+                   help="corruption scale k: entries drawn from U(-k, k) (default 0)")
+    p.add_argument("--noise", type=float,
+                   help="noise bound: entries drawn from U(-bound, bound) (default 0)")
+
+
+_GENERATOR_FLAGS = ("m", "n", "s", "beta", "corruption", "noise")
 
 
 def _int_list(text):
     return [int(t) for t in text.split(",")]
+
+
+def _count(text):
+    """argparse type of a count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -121,7 +116,7 @@ def build_parser():
     s.add_argument("--lambda", dest="lam", type=float, default=1.0)
     s.add_argument("--w", default="1.0", help="stepsize: constant or '1.7n'")
     s.add_argument("--iters", type=int, default=1000)
-    s.add_argument("--trials", type=int, default=1)
+    s.add_argument("--trials", type=_count, default=1)
     s.add_argument("--trace-every", type=int, default=1)
     s.add_argument("--stop-tol", type=float)
     s.add_argument("--timings", action="store_true",
@@ -131,14 +126,14 @@ def build_parser():
     e = sub.add_parser("experiment", help="run a named experiment preset")
     _add_common(e)
     e.add_argument("preset", choices=list(PRESETS))
-    e.add_argument("--jobs", type=int, default=1,
+    e.add_argument("--jobs", type=_count, default=1,
                    help="threads that run the preset's points")
     e.add_argument("--full", action="store_true",
                    help="paper-scale dimensions instead of desk-scale defaults")
     e.add_argument("--beta", type=float, default=0.2)
     e.add_argument("--n", type=_int_list,
                    help="comma-separated n values (stepsize-sweep)")
-    e.add_argument("--trials", type=int,
+    e.add_argument("--trials", type=_count,
                    help="trials per generated point: default 21, or 100 with --full")
     e.add_argument("--matrix", help="Matrix Market matrix (realdata)")
     e.add_argument("--xhat", help="Matrix Market ground truth (realdata)")
@@ -150,10 +145,13 @@ def build_parser():
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--sampled", action="store_true")
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--budget", type=int, default=theory.EXACT_BUDGET_DEFAULT)
+    sp.add_argument("--samples", type=_count, default=10000)
 
     return parser
+
+
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True,
+                 "0": False, "false": False, "no": False}
 
 
 def _config_defaults(path, command, parser):
@@ -181,10 +179,10 @@ def _config_defaults(path, command, parser):
                 parser._fail(f"config file {path!r}: unknown key {key!r}")
             try:
                 if action.nargs == 0:   # store_true flags
-                    value = text.lower() in ("1", "true", "yes")
+                    value = _SWITCH_WORDS.get(text.lower())
                 else:
                     value = (action.type or str)(text)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 value = None
             if value is None or (action.choices and value not in action.choices):
                 parser._fail(f"config file {path!r}: bad value {text!r} for {key!r}")
@@ -219,14 +217,24 @@ def _command_line(command, args, argv):
     return " ".join(shlex.quote(w) for w in words)
 
 
+def _refuse_flags(args, parser, flags, what):
+    """Exit 1 naming the first of flags that is given, from argv or a
+    config file: its value is neither None nor False (0 counts as given)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value is not False:
+            parser._fail(f"{what} does not read --{flag}")
+
+
 def _instance_from_args(args, parser):
     if getattr(args, "instance", None):
+        _refuse_flags(args, parser, _GENERATOR_FLAGS, "solve --instance")
         return instances.load_bundle(args.instance)
     if args.m is None or args.n is None or args.s is None:
         parser._fail("need --instance or all of --m/--n/--s")
     spec = instances.GeneratorSpec(
-        m=args.m, n=args.n, sparsity=args.s, beta=args.beta,
-        corruption_scale=args.corruption, noise_bound=args.noise,
+        m=args.m, n=args.n, sparsity=args.s, beta=args.beta or 0.0,
+        corruption_scale=args.corruption or 0.0, noise_bound=args.noise or 0.0,
         seed=args.seed,
     )
     return instances.generate_gaussian(spec)
@@ -345,10 +353,9 @@ PRESETS = {
 
 
 def _summary_csv(args, name, header, rows):
-    lines = ["# cmd: " + args.cmd_line, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    _atomic_write(os.path.join(args.out, name), "\n".join(lines) + "\n")
+    with matrices.write_atomic(os.path.join(args.out, name)) as fh:
+        fh.write(f"# cmd: {args.cmd_line}\n{','.join(header)}\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _first_k_below(trace, level):
@@ -400,9 +407,8 @@ def _append_best(header, rows):
 
 def cmd_experiment(args, parser):
     preset = PRESETS[args.preset]
-    for flag in _PRESET_FLAGS:
-        if getattr(args, flag) not in (None, False) and flag not in preset.reads:
-            parser._fail(f"experiment {args.preset} does not read --{flag}")
+    _refuse_flags(args, parser, [f for f in _PRESET_FLAGS if f not in preset.reads],
+                  f"experiment {args.preset}")
     os.makedirs(args.out, exist_ok=True)
     inst = None
     if args.preset == "realdata":
@@ -431,8 +437,8 @@ def cmd_spectral(args, parser):
     mode = "sampled" if args.sampled else "exact"
     try:
         report = theory.spectral_constants(
-            inst.A, args.q, inst.beta, mode=mode, budget=args.budget,
-            samples=args.samples, seed=args.seed,
+            inst.A, args.q, inst.beta, mode=mode, samples=args.samples,
+            seed=args.seed,
         )
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,8 +161,12 @@ _META_SCALARS = ("beta", "corruption_scale", "noise_bound")
 
 
 def save_bundle(instance, out_dir):
-    """Write an instance as Matrix Market files plus a key=value meta.txt."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write an instance as Matrix Market files plus a key=value meta.txt,
+    which goes last, after any old one is deleted: a bundle whose writing
+    was cut off has no meta.txt, and load_bundle refuses it."""
+    for path in (os.path.join(out_dir, "meta.txt"), os.path.join(out_dir, "xhat.mtx")):
+        if os.path.exists(path):
+            os.unlink(path)
     for attr, fname in _BUNDLE_FILES.items():
         matrices.mm_write(os.path.join(out_dir, fname), getattr(instance, attr))
     if instance.x_hat is not None:
@@ -170,39 +174,40 @@ def save_bundle(instance, out_dir):
     meta = {key: matrices.FMT % getattr(instance, key) for key in _META_SCALARS}
     meta["seed"] = str(instance.seed)
     meta["corruption_indices"] = ",".join(str(i) for i in instance.corruption_indices)
-    with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key}={val}\n")
+    with matrices.write_atomic(os.path.join(out_dir, "meta.txt")) as fh:
+        fh.writelines(f"{key}={val}\n" for key, val in meta.items())
 
 
 def load_bundle(in_dir):
     """Inverse of save_bundle; reproduces b_observed exactly.
 
-    Raises InvalidBundle unless every entry is finite, the lengths agree,
+    Raises InvalidBundle unless meta.txt exists and holds every key
+    save_bundle writes, every entry is finite, the lengths agree,
     b_observed = b_clean + b_corrupt + noise to rounding, the corruption
     indices are distinct rows of A and every row of A has unit norm.
     """
+    try:
+        with open(os.path.join(in_dir, "meta.txt")) as fh:
+            # key=value lines: (key, value) from each line's partition
+            meta = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
+        idx_txt = meta["corruption_indices"]
+        corrupt_idx = np.array([int(t) for t in idx_txt.split(",")] if idx_txt else [],
+                               dtype=int)
+        scalars = {key: float(meta[key]) for key in _META_SCALARS}
+        seed = int(meta["seed"])
+    except FileNotFoundError:
+        raise InvalidBundle(f"{in_dir}: no meta.txt, which save_bundle writes "
+                            "last: the bundle is missing or incomplete") from None
+    except KeyError as exc:
+        raise InvalidBundle(f"{in_dir}: meta.txt has no {exc.args[0]} key") from None
+    except ValueError as exc:
+        raise InvalidBundle(f"{in_dir}: meta.txt: {exc}") from None
     parts = {
         attr: matrices.mm_read(os.path.join(in_dir, fname))
         for attr, fname in _BUNDLE_FILES.items()
     }
     xhat_path = os.path.join(in_dir, "xhat.mtx")
     x_hat = matrices.mm_read(xhat_path) if os.path.exists(xhat_path) else None
-    meta = {}
-    with open(os.path.join(in_dir, "meta.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                meta[key] = val
-    try:
-        idx_txt = meta.get("corruption_indices", "")
-        corrupt_idx = np.array([int(t) for t in idx_txt.split(",")] if idx_txt else [],
-                               dtype=int)
-        scalars = {key: float(meta.get(key, 0.0)) for key in _META_SCALARS}
-        seed = int(meta.get("seed", 0))
-    except ValueError as exc:
-        raise InvalidBundle(f"{in_dir}: meta.txt: {exc}") from None
     instance = ProblemInstance(x_hat=x_hat, seed=seed, corruption_indices=corrupt_idx,
                                **parts, **scalars)
     _check_bundle(instance, in_dir)

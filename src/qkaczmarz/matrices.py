@@ -9,6 +9,9 @@ validating helpers check finiteness on entry; arrays are treated as
 immutable afterwards.
 """
 
+import contextlib
+import os
+
 import numpy as np
 
 from .errors import (
@@ -107,6 +110,23 @@ def support_residuals(A, x, b):
 FMT = "%.17g"
 
 
+@contextlib.contextmanager
+def write_atomic(path):
+    """Text handle on a new file beside path, in a directory it creates: the
+    file is moved into place when the block ends and deleted if it raises,
+    so path holds its old content or the whole new one, with open()'s mode."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def mm_write(path, obj):
     """Write a matrix (2-D) or vector (1-D) in Matrix Market array format.
 
@@ -121,7 +141,7 @@ def mm_write(path, obj):
         raise DimensionMismatch(f"cannot write array of ndim {obj.ndim}")
     m, n = body.shape
     line = FMT + "\n"
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
         # Array format lists entries column by column; formatting one column
         # at a time keeps only that column's text in memory.

@@ -323,16 +323,8 @@ def median_of_trials(instance_for_trial, config, trials):
         inst = instance_for_trial(j)
         _, tr = run(inst, replace(base, seed=config.seed + j), record_bregman=False)
         traces.append(tr)
-    out = ConvergenceTrace()
-    ks = traces[0].ks
-    for pos, k in enumerate(ks):
-        rels = np.array([t.rel_error[pos] for t in traces], dtype=float)
-        out.append(
-            k,
-            float(np.median(rels)),
-            None,
-            float(np.median([t.quantile[pos] for t in traces])),
-            int(np.median([t.set_size[pos] for t in traces])),
-            float(np.median([t.elapsed[pos] for t in traces])),
-        )
-    return out
+    rel, quantile, size, secs = (
+        np.median(np.array([getattr(t, column) for t in traces], dtype=float), axis=0)
+        for column in ("rel_error", "quantile", "set_size", "elapsed"))
+    return ConvergenceTrace(list(traces[0].ks), rel.tolist(), [None] * rel.size,
+                            quantile.tolist(), size.astype(int).tolist(), secs.tolist())

@@ -26,7 +26,8 @@ from .errors import (
     ZeroGroundTruth,
 )
 
-EXACT_BUDGET_DEFAULT = 2_000_000
+# Most SVDs the exact mode of spectral_constants may enumerate.
+EXACT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,11 @@ def exact_enumeration_count(m, n, t):
     return math.comb(m, t) * (2**n - 1)
 
 
-def spectral_constants(A, q, beta, mode="exact", budget=EXACT_BUDGET_DEFAULT,
-                       samples=10000, seed=0):
+def spectral_constants(A, q, beta, mode="exact", samples=10000, seed=0):
     """Spectral report for A with row-subset size (q - beta) * m.
 
     Exact mode enumerates every (row subset, column subset) pair; the
-    enumeration count C(m, t) * (2^n - 1) must fit the budget.  Sampled mode
+    enumeration count C(m, t) * (2^n - 1) must fit EXACT_BUDGET.  Sampled mode
     draws uniform pairs instead; its minima are upper bounds on the true
     constants and the report is flagged accordingly.
     """
@@ -85,10 +85,10 @@ def spectral_constants(A, q, beta, mode="exact", budget=EXACT_BUDGET_DEFAULT,
     sigma_min = float(svals[-1])
 
     if mode == "exact":
-        if exact_enumeration_count(m, n, t) > budget:
+        if exact_enumeration_count(m, n, t) > EXACT_BUDGET:
             raise BudgetExceeded(
                 f"exact enumeration needs {exact_enumeration_count(m, n, t)} "
-                f"SVDs (> budget {budget}); use sampled mode"
+                f"SVDs (> budget {EXACT_BUDGET}); use sampled mode"
             )
         tilde_min = np.inf
         for size in range(1, n + 1):

@@ -149,6 +149,37 @@ def test_solve_trials_median(tmp_path):
     assert len(rels) == 1 and float(rels[0]) > 0
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_solve_trials_must_be_positive(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(solve_args(tmp_path, ["--iters", "5", "--trials", value]))
+    assert exc.value.code == 1
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "999"), ("--n", "4"), ("--s", "2"),
+                                         ("--beta", "0.9"), ("--corruption", "0"),
+                                         ("--noise", "5")])
+def test_solve_instance_refuses_generator_flags(tmp_path, capsys, flag, value):
+    bundle = make_bundle(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--instance", bundle, flag, value, "--iters", "10",
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert f"does not read {flag}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "trace_quantile-rask.csv")
+
+
+def test_solve_instance_refuses_generator_keys_of_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("noise=0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--instance", make_bundle(tmp_path), "--config", str(cfg),
+                 "--iters", "10", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "does not read --noise" in capsys.readouterr().err
+
+
 def test_solve_divergence_exits_1_naming_the_iteration(tmp_path, capsys):
     # the iterate overflows: a named failure, not the empty acceptable set
     # that the NaN residuals would leave
@@ -251,16 +282,18 @@ def test_bad_corruption_setting_exits_1_naming_it(tmp_path, capsys, realdata_fil
 
 
 def test_trace_csv_gets_the_mode_of_bundle_files(tmp_path):
-    # both are created the way open() creates a file: 0o666 less the umask
+    # all are created the way open() creates a file: 0o666 less the umask
     old = os.umask(0o022)
     try:
         assert run_cli(["generate", *GENERATED, "--out", str(tmp_path / "b")]) == 0
         assert run_cli(["solve", "--instance", str(tmp_path / "b"), "--iters", "10",
                         "--trace", str(tmp_path / "t.csv")]) == 0
+        assert run_cli(["spectral", "--instance", str(tmp_path / "b"), "--q", "0.5",
+                        "--sampled", "--samples", "5", "--out", str(tmp_path / "s")]) == 0
     finally:
         os.umask(old)
-    mode = {p: stat.S_IMODE(os.stat(tmp_path / p).st_mode) for p in ("t.csv", "b/A.mtx")}
-    assert mode["t.csv"] == mode["b/A.mtx"] == 0o644
+    files = ("t.csv", "b/A.mtx", "b/meta.txt", "s/spectral.csv")
+    assert {stat.S_IMODE(os.stat(tmp_path / p).st_mode) for p in files} == {0o644}
 
 
 def test_solve_timings_writes_real_elapsed(tmp_path):
@@ -342,6 +375,27 @@ def test_config_file_bad_key_or_value_exits_1(tmp_path, text):
     with pytest.raises(SystemExit) as exc:
         run_cli(solve_args(tmp_path, ["--config", str(cfg)]))
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("word, on", [("1", True), ("TRUE", True), ("Yes", True),
+                                      ("0", False), ("False", False), ("NO", False)])
+def test_config_switch_takes_on_and_off_words(tmp_path, word, on):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"timings={word}\n")
+    assert run_cli(solve_args(tmp_path, ["--config", str(cfg), "--iters", "20",
+                                         "--trace", str(tmp_path / "t.csv")])) == 0
+    assert (float(column(tmp_path / "t.csv", "elapsed_s")[-1]) > 0) == on
+
+
+@pytest.mark.parametrize("word", ["on", "off", "2", ""])
+def test_config_switch_refuses_other_words(tmp_path, capsys, word):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"timings={word}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(solve_args(tmp_path, ["--config", str(cfg)]))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'timings'" in err
 
 
 def test_config_file_missing_exits_1(tmp_path):
@@ -483,6 +537,24 @@ def test_spectral_budget_exceeded_hints_sampled(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_spectral_samples_must_be_positive(tmp_path, capsys, value):
+    # no draw would leave infinite minima that pass every condition
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectral", "--instance", make_bundle(tmp_path), "--q", "0.5",
+                 "--sampled", "--samples", value, "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "--samples" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "spectral.csv")
+
+
+def test_spectral_has_no_budget_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectral", "--instance", make_bundle(tmp_path), "--q", "0.5",
+                 "--budget", "10", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+
+
 # -------------------------------------------------------------- experiments
 
 def test_experiment_stepsize_sweep(tmp_path, capsys):
@@ -581,6 +653,16 @@ def test_jobs_is_an_experiment_flag_only(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + ["--jobs", "2", "--out", str(tmp_path / "ok")])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_experiment_jobs_must_be_positive(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["experiment", "qbeta-grid", "--trials", "1", "--jobs", value,
+                 "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))

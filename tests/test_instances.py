@@ -198,3 +198,55 @@ def test_load_bundle_rejects_invalid_bundles(tmp_path, case, message):
     bundle = _edit_bundle(tmp_path, **edits[case]())
     with pytest.raises(InvalidBundle, match=message):
         instances.load_bundle(bundle)
+
+
+def test_interrupted_save_bundle_is_refused(tmp_path, monkeypatch):
+    # rewrite a bundle with another seed and cut it off after A.mtx: the
+    # new A must not load with the old b
+    bundle = tmp_path / "bundle"
+    instances.save_bundle(instances.generate_gaussian(make_spec(seed=1)), bundle)
+    new = instances.generate_gaussian(make_spec(seed=2))
+    write, calls = matrices.mm_write, []
+
+    def mm_write(path, obj):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("interrupted")
+        write(path, obj)
+
+    monkeypatch.setattr(matrices, "mm_write", mm_write)
+    with pytest.raises(OSError, match="interrupted"):
+        instances.save_bundle(new, bundle)
+    assert np.array_equal(matrices.mm_read(bundle / "A.mtx"), new.A)
+    with pytest.raises(InvalidBundle, match="no meta.txt"):
+        instances.load_bundle(bundle)
+
+
+META_KEYS = ("beta", "corruption_scale", "noise_bound", "seed", "corruption_indices")
+
+
+@pytest.mark.parametrize("key", META_KEYS)
+def test_load_bundle_refuses_meta_without_a_key(tmp_path, key):
+    inst = instances.generate_gaussian(make_spec())
+    bundle = tmp_path / "bundle"
+    instances.save_bundle(inst, bundle)
+    lines = (bundle / "meta.txt").read_text().splitlines()
+    assert sorted(line.partition("=")[0] for line in lines) == sorted(META_KEYS)
+    (bundle / "meta.txt").write_text(
+        "".join(line + "\n" for line in lines if not line.startswith(key + "=")))
+    with pytest.raises(InvalidBundle, match=f"meta.txt has no {key} key"):
+        instances.load_bundle(bundle)
+
+
+def test_load_bundle_takes_empty_corruption_indices(tmp_path):
+    inst = instances.generate_gaussian(make_spec(beta=0.0))
+    instances.save_bundle(inst, tmp_path / "bundle")
+    assert "corruption_indices=\n" in (tmp_path / "bundle" / "meta.txt").read_text()
+    assert instances.load_bundle(tmp_path / "bundle").corruption_indices.size == 0
+
+
+def test_load_bundle_refuses_a_directory_without_meta(tmp_path):
+    instances.save_bundle(instances.generate_gaussian(make_spec()), tmp_path / "bundle")
+    (tmp_path / "bundle" / "meta.txt").unlink()
+    with pytest.raises(InvalidBundle, match="no meta.txt"):
+        instances.load_bundle(tmp_path / "bundle")

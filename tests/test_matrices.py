@@ -213,3 +213,18 @@ def test_mm_bad_value_reports_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         matrices.mm_read(path)
     assert exc.value.line == 4
+
+
+def test_write_atomic_keeps_the_old_file_when_the_block_raises(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with matrices.write_atomic(path) as fh:
+            fh.write("new, but cut off")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+    with matrices.write_atomic(tmp_path / "sub" / "b.txt") as fh:
+        fh.write("whole\n")
+    assert (tmp_path / "sub" / "b.txt").read_text() == "whole\n"
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["b.txt"]

@@ -467,3 +467,19 @@ def test_median_of_trials_uses_shifted_seeds():
         _, t = solvers.run(inst, replace(config, seed=5 + j))
         singles.append(t.rel_error[-1])
     assert tr.rel_error[-1] == pytest.approx(float(np.median(singles)))
+
+
+@pytest.mark.parametrize("q, trials", [(None, 4), (0.7, 3), (0.7, 4)])
+def test_median_of_trials_takes_each_records_median(q, trials):
+    inst = gaussian_instance(20, 6, 2, beta=0.1, k=5.0, seed=3)
+    config = solvers.SolverConfig(max_iters=60, lam=1.0, quantile_q=q,
+                                  seed=5, trace_every=7)
+    tr = solvers.median_of_trials(lambda j: inst, config, trials)
+    runs = [solvers.run(inst, replace(config, seed=5 + j), record_bregman=False)[1]
+            for j in range(trials)]
+    assert tr.ks == runs[0].ks and tr.bregman_dist == [None] * len(tr.ks)
+    for pos in range(len(tr.ks)):
+        assert tr.rel_error[pos] == float(np.median([t.rel_error[pos] for t in runs]))
+        assert tr.set_size[pos] == int(np.median([t.set_size[pos] for t in runs]))
+        assert tr.quantile[pos] == float(np.median([t.quantile[pos] for t in runs])) \
+            or (q is None and np.isnan(tr.quantile[pos]))
