@@ -16,17 +16,19 @@ may sum in another order, and the 10000x500 block traces then differ.
 journey in a temporary directory (generate; solve with every method, with
 --trials, with --stop-tol and with a --config file that one flag overrides;
 sampled spectral, and exact spectral on an 8x3 bundle; every experiment
-preset, qbeta-grid also on two threads, realdata on the generated bundle)
-and prints, per command, its exit code and the sha256 of its stdout and
-stderr with `wall_s` values stripped, then the sha256 of every file the
-journey wrote.  Point PYTHONPATH at another
+preset, qbeta-grid also on two threads, realdata on the generated bundle and
+again on a copy whose A.mtx has comment lines after its size line, which
+Matrix Market readers take line by line) and prints, per command, its exit
+code and the sha256 of its stdout and stderr with `wall_s` values stripped,
+then the sha256 of every file the journey wrote.  Point PYTHONPATH at another
 checkout's src to digest its CLI with the same journey:
 
     PYTHONPATH=../parent/src python3 scripts/trace_digest.py --cli > old.txt
     PYTHONPATH=src python3 scripts/trace_digest.py --cli > new.txt
     diff old.txt new.txt
 
-It exits 1 if a command's exit code is not the expected one.
+It exits 1 if a command's exit code is not the expected one, or if the two
+realdata runs write files that differ.
 """
 
 import contextlib
@@ -100,6 +102,14 @@ JOURNEY = (
        ("experiment realdata", ["experiment", "realdata", "--matrix", "bundle/A.mtx",
                                 "--xhat", "bundle/xhat.mtx", "--out", "exp/rd"], 0)]
 )
+# realdata again, after the journey, on the files of COMMENTED: the paths
+# relative to --out are those of the first run, so its files, `# cmd:` line
+# included, must have the same bytes
+COMMENTED = "commented"
+REALDATA_COMMENTED = (
+    "experiment realdata, comments after the size line",
+    ["experiment", "realdata", "--matrix", f"{COMMENTED}/bundle/A.mtx",
+     "--xhat", f"{COMMENTED}/bundle/xhat.mtx", "--out", f"{COMMENTED}/exp/rd"], 0)
 
 
 def digest(*arrays):
@@ -132,32 +142,60 @@ def trace_cases(quick):
                       f"x_star={digest(state.x_star)}", flush=True)
 
 
+def copy_with_comments(src, dst):
+    """Copy a Matrix Market file with comment lines after its size line and
+    between its entries."""
+    with open(src) as fh:
+        lines = fh.readlines()
+    lines.insert(2, "% a comment after the size line\n")
+    lines.insert(len(lines) // 2, "%\n")
+    os.makedirs(os.path.dirname(dst), exist_ok=True)
+    with open(dst, "w") as fh:
+        fh.writelines(lines)
+
+
+def run_command(name, argv):
+    """Run one CLI command in process, print its digest line and return its
+    exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stdout = re.sub(r"wall_s=\S+", "wall_s=", out.getvalue())
+    print(f"cli {name}: exit={code} "
+          f"stdout={text_digest(stdout.encode())} "
+          f"stderr={text_digest(err.getvalue().encode())}", flush=True)
+    return code
+
+
 def cli_journey():
-    """Run JOURNEY in a temporary directory; returns the failed commands."""
-    failed = []
+    """Run JOURNEY, then REALDATA_COMMENTED, in a temporary directory;
+    returns what failed."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             with open("run.cfg", "w") as fh:
                 fh.write(CONFIG)
-            for name, argv, expected in JOURNEY:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                stdout = re.sub(r"wall_s=\S+", "wall_s=", out.getvalue())
-                print(f"cli {name}: exit={code} "
-                      f"stdout={text_digest(stdout.encode())} "
-                      f"stderr={text_digest(err.getvalue().encode())}", flush=True)
-                if code != expected:
-                    failed.append(name)
+            failed = [name for name, argv, expected in JOURNEY
+                      if run_command(name, argv) != expected]
+            for fname in ("A.mtx", "xhat.mtx"):
+                copy_with_comments(os.path.join("bundle", fname),
+                                   os.path.join(COMMENTED, "bundle", fname))
+            name, argv, expected = REALDATA_COMMENTED
+            if run_command(name, argv) != expected:
+                failed.append(name)
+            digests = {}
             for root, dirs, files in os.walk("."):
                 dirs.sort()
                 for fname in sorted(files):
-                    path = os.path.join(root, fname)
+                    path = os.path.normpath(os.path.join(root, fname))
                     with open(path, "rb") as fh:
-                        print(f"file {os.path.normpath(path)} "
-                              f"{text_digest(fh.read())}")
+                        digests[path] = text_digest(fh.read())
+                    print(f"file {path} {digests[path]}")
+            for path, value in digests.items():
+                if os.path.dirname(path) == os.path.join("exp", "rd") and \
+                        digests.get(os.path.join(COMMENTED, path)) != value:
+                    failed.append(f"{name}: {path} differs")
         finally:
             os.chdir(home)
     return failed
@@ -168,7 +206,7 @@ def main(argv):
     if "--cli" in argv:
         failed = cli_journey()
         if failed:
-            print(f"unexpected exit code: {', '.join(failed)}", file=sys.stderr)
+            print(f"failed: {', '.join(failed)}", file=sys.stderr)
             return 1
     return 0
 

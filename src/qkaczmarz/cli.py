@@ -204,14 +204,18 @@ def _option_dest(command, word):
 
 
 def _command_line(command, args, argv):
-    """`qkaczmarz` and argv, with path values relative to --out, so that
-    runs into different directories record the same line."""
+    """`qkaczmarz` and argv, with path values relative to --out and without
+    --jobs, so that runs into different directories or on more threads
+    record the same line."""
     words = ["qkaczmarz"]
     for prev, word in zip([""] + argv, argv):
         option, eq, value = word.partition("=")
-        if _option_dest(command, prev) in _PATH_DESTS:
+        prev_dest, dest = _option_dest(command, prev), _option_dest(command, option)
+        if "jobs" in (prev_dest, dest):
+            continue
+        if prev_dest in _PATH_DESTS:
             word = os.path.relpath(word, args.out)
-        elif eq and _option_dest(command, option) in _PATH_DESTS:
+        elif eq and dest in _PATH_DESTS:
             word = f"{option}={os.path.relpath(value, args.out)}"
         words.append(word)
     return " ".join(shlex.quote(w) for w in words)

@@ -10,6 +10,7 @@ immutable afterwards.
 """
 
 import contextlib
+import io
 import os
 
 import numpy as np
@@ -103,7 +104,11 @@ def support_residuals(A, x, b):
 # A minimal reader/writer for the real-valued subset of the format:
 # coordinate and array layouts, general and symmetric symmetry.  Hand-rolled
 # (rather than delegating to scipy.io) so parse failures can report exact
-# line numbers and so output precision is under our control.
+# line numbers and so output precision is under our control.  The body of an
+# array/general file without a comment after its size line (the layout
+# mm_write writes) goes to numpy's C text parser in one call; every other
+# file, and any body that parser refuses or reads as another shape, goes
+# line by line, so an error still names its line.
 # ---------------------------------------------------------------------------
 
 # How the package writes a float as text: enough digits to read it back exactly.
@@ -153,73 +158,62 @@ def mm_read(path):
     """Read a Matrix Market file into a column-major matrix; m-by-1 arrays
     come back as 1-D vectors."""
     with open(path) as fh:
-        raw = fh.readlines()
-    if not raw:
-        raise ParseError(1, "empty file")
+        header = fh.readline()
+        if not header:
+            raise ParseError(1, "empty file")
+        header = header.split()
+        if (
+            len(header) != 5
+            or header[0] != "%%MatrixMarket"
+            or header[1].lower() != "matrix"
+        ):
+            raise ParseError(1, "bad header")
+        layout, field, symmetry = (h.lower() for h in header[2:5])
+        if layout not in ("coordinate", "array"):
+            raise ParseError(1, f"unknown layout {layout!r}")
+        if field not in ("real", "integer"):
+            raise UnsupportedField(f"field {field!r} is not supported")
+        if symmetry not in ("general", "symmetric"):
+            raise UnsupportedField(f"symmetry {symmetry!r} is not supported")
 
-    header = raw[0].split()
-    if (
-        len(header) != 5
-        or header[0] != "%%MatrixMarket"
-        or header[1].lower() != "matrix"
-    ):
-        raise ParseError(1, "bad header")
-    layout, field, symmetry = (h.lower() for h in header[2:5])
-    if layout not in ("coordinate", "array"):
-        raise ParseError(1, f"unknown layout {layout!r}")
-    if field not in ("real", "integer"):
-        raise UnsupportedField(f"field {field!r} is not supported")
-    if symmetry not in ("general", "symmetric"):
-        raise UnsupportedField(f"symmetry {symmetry!r} is not supported")
-
-    # Skip comments/blank lines, remembering original line numbers.
-    stripped = enumerate(map(str.strip, raw[1:]), start=2)
-    data = [(i, ln) for i, ln in stripped if ln and not ln.startswith("%")]
-    if not data:
-        raise ParseError(len(raw), "missing size line")
-    del raw  # data holds stripped copies of every line still needed
-
-    size_lineno, size_line = data[0]
-    sizes = size_line.split()
-    entries = data[1:]
+        # the size line is the first line that is neither blank nor a comment
+        size_lineno = 1
+        for size_lineno, size_line in enumerate(fh, start=2):
+            sizes = size_line.split()
+            if sizes and not sizes[0].startswith("%"):
+                break
+        else:
+            raise ParseError(size_lineno, "missing size line")
+        body = fh.read()
 
     if layout == "array":
-        if len(sizes) != 2:
-            raise ParseError(size_lineno, "array size line must be 'm n'")
-        try:
-            m, n = int(sizes[0]), int(sizes[1])
-        except ValueError:
-            raise ParseError(size_lineno, "non-integer dimensions") from None
+        m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
         expected = m * n if symmetry == "general" else m * (m + 1) // 2
-        if len(entries) != expected:
-            raise ParseError(
-                size_lineno, f"expected {expected} entries, found {len(entries)}"
-            )
-        if symmetry == "general":
-            # the file lists the entries column by column: the column-major
-            # matrix is a view of them, with no copy
-            out = _parse_values(entries).reshape(n, m).T
-        else:
-            if m != n:
-                raise ParseError(size_lineno, "symmetric matrix must be square")
-            out = np.zeros((m, n), order="F")
-            it = iter(entries)
-            for j in range(n):
-                for i in range(j, m):
-                    lineno, txt = next(it)
-                    out[i, j] = _parse_value(txt, lineno)
-                    out[j, i] = out[i, j]
     else:
-        if len(sizes) != 3:
-            raise ParseError(size_lineno, "coordinate size line must be 'm n nnz'")
-        try:
-            m, n, nnz = (int(s) for s in sizes)
-        except ValueError:
-            raise ParseError(size_lineno, "non-integer dimensions") from None
-        if len(entries) != nnz:
-            raise ParseError(
-                size_lineno, f"expected {nnz} entries, found {len(entries)}"
-            )
+        m, n, expected = _dims(sizes, 3, size_lineno,
+                               "coordinate size line must be 'm n nnz'")
+
+    if layout == "array" and symmetry == "general":
+        values = _c_parsed(body, expected)
+        if values is None:
+            values = np.array([_parse_value(txt, lineno) for lineno, txt
+                               in _entries(body, size_lineno, expected)])
+        # the file lists the entries column by column: the column-major
+        # matrix is a view of them, with no copy
+        out = values.reshape(n, m).T
+    elif layout == "array":
+        entries = _entries(body, size_lineno, expected)
+        if m != n:
+            raise ParseError(size_lineno, "symmetric matrix must be square")
+        out = np.zeros((m, n), order="F")
+        it = iter(entries)
+        for j in range(n):
+            for i in range(j, m):
+                lineno, txt = next(it)
+                out[i, j] = _parse_value(txt, lineno)
+                out[j, i] = out[i, j]
+    else:
+        entries = _entries(body, size_lineno, expected)
         out = np.zeros((m, n), order="F")
         for lineno, txt in entries:
             parts = txt.split()
@@ -241,13 +235,40 @@ def mm_read(path):
     return out
 
 
-def _parse_values(entries):
-    """All entry texts as one float array; a bad entry raises the
-    ParseError of its line, as _parse_value does."""
+def _dims(sizes, count, lineno, message):
+    """The count integers of a size line."""
+    if len(sizes) != count:
+        raise ParseError(lineno, message)
     try:
-        return np.array([txt for _, txt in entries], dtype=float)
+        return [int(s) for s in sizes]
     except ValueError:
-        return np.array([_parse_value(txt, lineno) for lineno, txt in entries])
+        raise ParseError(lineno, "non-integer dimensions") from None
+
+
+def _entries(body, size_lineno, expected):
+    """(line number, stripped text) of every line of the body after the
+    size line that is neither blank nor a comment; there must be expected."""
+    stripped = enumerate(map(str.strip, body.split("\n")), start=size_lineno + 1)
+    entries = [(i, ln) for i, ln in stripped if ln and not ln.startswith("%")]
+    if len(entries) != expected:
+        raise ParseError(
+            size_lineno, f"expected {expected} entries, found {len(entries)}"
+        )
+    return entries
+
+
+def _c_parsed(body, count):
+    """The body's values from numpy's C parser if it is count lines of one
+    number each, between blank lines only; None otherwise.  A comment line
+    (or a `%` anywhere) is left to the line-by-line reader, as is a blank
+    body, on which np.loadtxt warns."""
+    if "%" in body or not body.strip():
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (count, 1) else None
 
 
 def _parse_value(txt, lineno):

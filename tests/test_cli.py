@@ -655,6 +655,21 @@ def test_jobs_is_an_experiment_flag_only(tmp_path):
         assert exc.value.code == 1
 
 
+def test_summary_does_not_depend_on_jobs(tmp_path):
+    # every spelling argparse takes for --jobs, its value included, stays
+    # out of the `# cmd:` line
+    summaries = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs=2"], ["--jo", "2"],
+                 ["--jo=2"], []):
+        out = tmp_path / str(len(summaries))
+        assert run_cli(["experiment", "qbeta-grid", "--trials", "1", *jobs,
+                        "--seed", "3", "--out", str(out)]) == 0
+        summaries.append((out / "summary.csv").read_bytes())
+    assert summaries[0].startswith(
+        b"# cmd: qkaczmarz experiment qbeta-grid --trials 1 --seed 3 --out .\n")
+    assert summaries == summaries[:1] * len(summaries)
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_experiment_jobs_must_be_positive(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:

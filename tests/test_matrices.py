@@ -1,3 +1,7 @@
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,3 +232,120 @@ def test_write_atomic_keeps_the_old_file_when_the_block_raises(tmp_path):
         fh.write("whole\n")
     assert (tmp_path / "sub" / "b.txt").read_text() == "whole\n"
     assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["b.txt"]
+
+
+# ------------------------------------------- Matrix Market reader: both paths
+
+def _finite_from_bits(bits):
+    value = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    return value if math.isfinite(value) else 0.0
+
+
+# numbers as text: written by the package, in other exact forms, or by hand
+_TOKENS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_finite_from_bits).flatmap(
+        lambda v: st.sampled_from([repr(v), "%.17g" % v, "%.17E" % v])),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]).map(repr),
+    st.sampled_from(["1", "-0", "1e-320", " 2.5\t", "+.5", "5.", "1E+5",
+                     "\t-7 ", "1e-400"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.sampled_from([1, 1, 2, 3]),
+    data=st.data(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    comments_before=st.integers(0, 2),
+    comment_after=st.booleans(),
+)
+def test_mm_read_matches_float_of_every_token(tmp_path_factory, m, n, data,
+                                              newline, comments_before,
+                                              comment_after):
+    # comments before the size line keep the C parser's path, a comment after
+    # it takes the line-by-line path: both must give float()'s bits
+    tokens = data.draw(st.lists(_TOKENS, min_size=m * n, max_size=m * n))
+    lines = list(tokens)
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", "  ", "\t"])))
+    if comment_after:
+        lines.insert(data.draw(st.integers(0, len(lines))), "% note")
+    head = ["%%MatrixMarket matrix array real general"]
+    head += ["% comment"] * comments_before + [f"{m} {n}"]
+    path = tmp_path_factory.mktemp("mm") / "a.mtx"
+    path.write_bytes(newline.join(head + lines + [""]).encode())
+    ref = np.array([float(t) for t in tokens]).reshape(n, m).T
+    if n == 1:
+        ref = ref[:, 0]
+    got = matrices.mm_read(path)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("1.0\n2.0 3.0\n", 4, "bad numeric value '2.0 3.0'"),
+    ("1.0 2.0\n", 2, "expected 2 entries, found 1"),
+    ("1.0\n", 2, "expected 2 entries, found 1"),
+    ("1.0\n2.0\n3.0\n", 2, "expected 2 entries, found 3"),
+    ("1.0\n\nxyz\n", 5, "bad numeric value 'xyz'"),
+    ("1.0\n1.5 % note\n", 4, "bad numeric value '1.5 % note'"),
+    ("1.0\n1.5 # note\n", 4, "bad numeric value '1.5 # note'"),
+    ("1.0\n1_5\n% note\n1.0\n", 2, "expected 2 entries, found 3"),
+], ids=["two values on a line", "two values on the only line", "missing entry",
+        "extra entry", "bad token", "inline % note", "inline # note",
+        "comment and extra entry"])
+def test_mm_read_refuses_a_malformed_body_naming_its_line(tmp_path, body, line,
+                                                          message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n2 1\n{body}")
+    with pytest.raises(ParseError) as exc:
+        matrices.mm_read(path)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
+def test_mm_read_takes_what_float_takes(tmp_path):
+    # numpy's C parser refuses `1_5` and non-ASCII digits; the line-by-line
+    # reader takes them as float() does
+    path = tmp_path / "a.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n1_5\n٢\n")
+    assert matrices.mm_read(path).tolist() == [15.0, 2.0]
+
+
+def test_mm_read_takes_files_of_mm_write_through_the_c_parser(tmp_path,
+                                                              monkeypatch):
+    A = rng.standard_normal((40, 7))
+    path = tmp_path / "a.mtx"
+    matrices.mm_write(path, A)
+    seen = []
+
+    def line_by_line(txt, lineno):
+        seen.append(lineno)
+        return float(txt)
+
+    monkeypatch.setattr(matrices, "_parse_value", line_by_line)
+    assert np.array_equal(matrices.mm_read(path), A)
+    assert seen == []
+    # a comment after the size line sends the same values line by line
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + ["% note\n"] + lines[2:]))
+    assert np.array_equal(matrices.mm_read(path), A)
+    assert seen == list(range(4, 4 + A.size))
+
+
+@pytest.mark.parametrize("size, body, shape", [
+    ("0 3", "", (0, 3)), ("0 0", "\n  \n", (0, 0)), ("2 1", "", None),
+    ("2 1", "\n\n", None)])
+def test_mm_read_of_a_blank_body_warns_nothing(tmp_path, size, body, shape):
+    path = tmp_path / "a.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if shape is None:
+            with pytest.raises(ParseError, match="expected 2 entries, found 0"):
+                matrices.mm_read(path)
+        else:
+            assert matrices.mm_read(path).shape == shape
