@@ -445,9 +445,7 @@ def cmd_spectral(args, parser):
             seed=args.seed,
         )
     except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --sampled", file=sys.stderr)
-        return 1
+        raise BudgetExceeded(f"{exc}\nhint: rerun with --sampled") from None
     values = dataclasses.asdict(report)
     if inst.x_hat is not None:
         values.update(dataclasses.asdict(

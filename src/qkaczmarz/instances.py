@@ -128,18 +128,24 @@ def from_files(matrix_path, x_hat_path, beta=0.0, corruption_scale=0.0,
     injected exactly as in the Gaussian generator, drawing from PCG64(seed).
     """
     _check_corruption(beta, corruption_scale, noise_bound)
-    A_raw = matrices.mm_read(matrix_path)
-    if A_raw.ndim != 2:
-        raise DimensionMismatch("matrix file does not hold a 2-D matrix")
+    A_raw = _read_matrix(matrix_path)
     # mm_read returns a column-major array of its own: normalize it in place
     A = matrices.normalize_rows(A_raw, out=A_raw)
-    x_hat = matrices.as_vector(matrices.mm_read(x_hat_path))
-    if x_hat.shape[0] != A.shape[1]:
-        raise DimensionMismatch("ground truth length does not match columns")
+    x_hat = matrices.mm_read(x_hat_path)
+    if x_hat.shape != (A.shape[1],) or not np.all(np.isfinite(x_hat)):
+        raise DimensionMismatch(f"ground truth must hold {A.shape[1]} finite values, "
+                                f"one per column, got shape {x_hat.shape}")
     b_clean = matrices.support_residuals(A, x_hat, 0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return _corrupt_and_pack(A, b_clean, x_hat, beta, corruption_scale,
                              noise_bound, seed, rng)
+
+
+def _read_matrix(path):
+    """The m x n matrix a Matrix Market file declares; mm_read returns an
+    m x 1 file as a vector."""
+    A = matrices.mm_read(path)
+    return A if A.ndim == 2 else A[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +209,8 @@ def load_bundle(in_dir):
     except ValueError as exc:
         raise InvalidBundle(f"{in_dir}: meta.txt: {exc}") from None
     parts = {
-        attr: matrices.mm_read(os.path.join(in_dir, fname))
+        attr: (_read_matrix if attr == "A" else matrices.mm_read)(
+            os.path.join(in_dir, fname))
         for attr, fname in _BUNDLE_FILES.items()
     }
     xhat_path = os.path.join(in_dir, "xhat.mtx")
@@ -219,7 +226,7 @@ def _check_bundle(inst, in_dir):
         raise InvalidBundle(f"{in_dir}: {what}")
 
     A = inst.A
-    if A.ndim != 2 or A.size == 0:
+    if A.size == 0:
         fail("A.mtx does not hold a nonempty matrix")
     m, n = A.shape
     vectors = {attr: getattr(inst, attr) for attr in _BUNDLE_FILES if attr != "A"}

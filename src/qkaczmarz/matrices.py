@@ -33,16 +33,6 @@ _NORM_BLOCK_ROWS = 256
 _SUPPORT_CHUNK = 16
 
 
-def as_vector(v):
-    """Coerce to a 1-D float64 array, checking finiteness."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DimensionMismatch("vector contains non-finite entries")
-    return v
-
-
 def normalize_rows(A, out=None):
     """Scale every row of A to unit Euclidean norm; returns the normalized
     matrix.
@@ -105,10 +95,10 @@ def support_residuals(A, x, b):
 # coordinate and array layouts, general and symmetric symmetry.  Hand-rolled
 # (rather than delegating to scipy.io) so parse failures can report exact
 # line numbers and so output precision is under our control.  The body of an
-# array/general file without a comment after its size line (the layout
-# mm_write writes) goes to numpy's C text parser in one call; every other
-# file, and any body that parser refuses or reads as another shape, goes
-# line by line, so an error still names its line.
+# array file without a comment after its size line (mm_write writes such
+# files) goes to numpy's C text parser in one call; a coordinate file, and
+# any body that parser refuses or reads as another shape, goes line by
+# line, so an error still names its line.
 # ---------------------------------------------------------------------------
 
 # How the package writes a float as text: enough digits to read it back exactly.
@@ -189,31 +179,28 @@ def mm_read(path):
     if layout == "array":
         m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
         expected = m * n if symmetry == "general" else m * (m + 1) // 2
-    else:
-        m, n, expected = _dims(sizes, 3, size_lineno,
-                               "coordinate size line must be 'm n nnz'")
-
-    if layout == "array" and symmetry == "general":
+        # numpy's C parser, else line by line; either way the entry count is
+        # checked before the shape and the values after it
         values = _c_parsed(body, expected)
-        if values is None:
-            values = np.array([_parse_value(txt, lineno) for lineno, txt
-                               in _entries(body, size_lineno, expected)])
-        # the file lists the entries column by column: the column-major
-        # matrix is a view of them, with no copy
-        out = values.reshape(n, m).T
-    elif layout == "array":
-        entries = _entries(body, size_lineno, expected)
-        if m != n:
+        lines = _entries(body, size_lineno, expected) if values is None else ()
+        if symmetry == "symmetric" and m != n:
             raise ParseError(size_lineno, "symmetric matrix must be square")
-        out = np.zeros((m, n), order="F")
-        it = iter(entries)
-        for j in range(n):
-            for i in range(j, m):
-                lineno, txt = next(it)
-                out[i, j] = _parse_value(txt, lineno)
-                out[j, i] = out[i, j]
+        if values is None:
+            values = np.array([_parse_value(txt, lineno) for lineno, txt in lines])
+        if symmetry == "general":
+            # the file lists the entries column by column: the column-major
+            # matrix is a view of them, with no copy
+            out = values.reshape(n, m).T
+        else:
+            # the lower triangle column by column, mirrored
+            out = np.zeros((m, n), order="F")
+            j, i = np.triu_indices(n)
+            out[i, j] = values
+            out[j, i] = values
     else:
-        entries = _entries(body, size_lineno, expected)
+        m, n, nnz = _dims(sizes, 3, size_lineno,
+                          "coordinate size line must be 'm n nnz'")
+        entries = _entries(body, size_lineno, nnz)
         out = np.zeros((m, n), order="F")
         for lineno, txt in entries:
             parts = txt.split()
@@ -230,7 +217,7 @@ def mm_read(path):
             if symmetry == "symmetric" and i != j:
                 out[j, i] = val
 
-    if out.ndim == 2 and out.shape[1] == 1:
+    if out.shape[1] == 1:
         return out[:, 0]
     return out
 
@@ -268,7 +255,7 @@ def _c_parsed(body, count):
         values = np.loadtxt(io.StringIO(body), dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
-    return values if values.shape == (count, 1) else None
+    return values[:, 0] if values.shape == (count, 1) else None
 
 
 def _parse_value(txt, lineno):

@@ -285,7 +285,7 @@ def run(instance, config, record_bregman=True):
             if not np.isfinite(state.x).all():
                 raise Diverged(state.k)
 
-            if quantile_bound is not None and not np.isnan(state.last_quantile):
+            if quantile_bound is not None:
                 bound = quantile_bound(state.x)
                 if state.last_quantile > bound + 1e-9:
                     raise AssertionError(

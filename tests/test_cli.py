@@ -140,6 +140,15 @@ def test_solve_from_bundle_matches_inline_generation(tmp_path):
         (tmp_path / "loaded.csv").read_bytes()
 
 
+def test_solve_takes_a_one_column_bundle(tmp_path):
+    bundle = str(tmp_path / "inst")
+    assert run_cli(["generate", "--m", "20", "--n", "1", "--s", "1",
+                    "--out", bundle]) == 0
+    assert run_cli(["solve", "--instance", bundle, "--iters", "20",
+                    "--stop-tol", "1e-12", "--out", str(tmp_path)]) == 0
+    assert column(tmp_path / "trace_quantile-rask.csv", "rel_error")[-1] == "0"
+
+
 def test_solve_trials_median(tmp_path):
     code = run_cli(solve_args(tmp_path, ["--iters", "50", "--trials", "3",
                                          "--trace-every", "50",
@@ -528,10 +537,15 @@ def test_summary_cmd_line_is_mains_argv_relative_to_out(tmp_path):
 
 def test_spectral_budget_exceeded_hints_sampled(tmp_path, capsys):
     bundle = make_bundle(tmp_path, m=60, n=14)
+    capsys.readouterr()
     code = run_cli(["spectral", "--instance", bundle, "--q", "0.5",
                     "--out", str(tmp_path)])
     assert code == 1
-    assert "--sampled" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", (
+        "error: exact enumeration needs 15154759375535622150 SVDs "
+        "(> budget 2000000); use sampled mode\n"
+        "hint: rerun with --sampled\n"))
+    assert not os.path.exists(tmp_path / "spectral.csv")
     code = run_cli(["spectral", "--instance", bundle, "--q", "0.5",
                     "--sampled", "--samples", "100", "--out", str(tmp_path)])
     assert code == 0
@@ -725,6 +739,17 @@ def test_experiment_realdata(tmp_path):
     for fname in ("trace_quantile-rka.csv", "trace_quantile-erask.csv",
                   "trace_quantile-raska.csv"):
         assert os.path.exists(tmp_path / "out" / fname)
+
+
+def test_experiment_realdata_takes_a_one_column_matrix(tmp_path):
+    from qkaczmarz import matrices
+
+    matrices.mm_write(tmp_path / "A.mtx", np.random.default_rng(0).standard_normal((60, 1)))
+    matrices.mm_write(tmp_path / "x.mtx", np.array([1.5]))
+    code = run_cli(["experiment", "realdata", "--matrix", str(tmp_path / "A.mtx"),
+                    "--xhat", str(tmp_path / "x.mtx"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(read_csv(tmp_path / "out" / "summary.csv")[1]) == 3
 
 
 def test_experiment_realdata_refuses_trials(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qkaczmarz import instances, matrices
-from qkaczmarz.errors import InvalidBundle, SpecInvalid
+from qkaczmarz.errors import DimensionMismatch, InvalidBundle, SpecInvalid
 
 rng = np.random.default_rng(11)
 
@@ -124,6 +124,17 @@ def test_from_files_pipeline(tmp_path):
     assert np.array_equal(inst.b_corrupt, np.zeros(4))
 
 
+@pytest.mark.parametrize("x_hat", [np.ones(4), np.ones(2), np.ones((3, 2)),
+                                   np.array([1.0, np.nan, 0.0])],
+                         ids=["long", "short", "matrix", "nan"])
+def test_from_files_refuses_a_ground_truth_that_is_not_n_finite_values(tmp_path,
+                                                                         x_hat):
+    matrices.mm_write(tmp_path / "A.mtx", np.random.default_rng(2).standard_normal((5, 3)))
+    matrices.mm_write(tmp_path / "x.mtx", x_hat)
+    with pytest.raises(DimensionMismatch, match="ground truth must hold 3 finite"):
+        instances.from_files(tmp_path / "A.mtx", x_hat_path=tmp_path / "x.mtx")
+
+
 def test_from_files_zero_beta_rounds_to_no_corruption(tmp_path):
     A = rng.standard_normal((4, 3))
     matrices.mm_write(tmp_path / "A.mtx", A)
@@ -158,6 +169,15 @@ def _edit_bundle(tmp_path, **files):
         else:
             matrices.mm_write(bundle / f"{fname}.mtx", value)
     return bundle
+
+
+def test_bundle_roundtrip_of_one_column(tmp_path):
+    inst = instances.generate_gaussian(instances.GeneratorSpec(m=9, n=1, sparsity=1,
+                                                               seed=3))
+    instances.save_bundle(inst, tmp_path / "bundle")
+    back = instances.load_bundle(tmp_path / "bundle")
+    assert back.A.shape == (9, 1) and back.A.tobytes() == inst.A.tobytes()
+    assert back.x_hat.shape == (1,)
 
 
 def test_load_bundle_returns_column_major_matrix(tmp_path):

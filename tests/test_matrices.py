@@ -336,6 +336,29 @@ def test_mm_read_takes_files_of_mm_write_through_the_c_parser(tmp_path,
     assert seen == list(range(4, 4 + A.size))
 
 
+def test_mm_read_takes_symmetric_array_files_through_the_c_parser(tmp_path,
+                                                                  monkeypatch):
+    M = np.random.default_rng(5).standard_normal((5, 5))
+    M = M + M.T
+    body = "".join(f"{M.tolist()[i][j]!r}\n" for j in range(5) for i in range(j, 5))
+    path = tmp_path / "s.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real symmetric\n5 5\n{body}")
+    seen = []
+
+    def line_by_line(txt, lineno):
+        seen.append(lineno)
+        return float(txt)
+
+    monkeypatch.setattr(matrices, "_parse_value", line_by_line)
+    assert np.array_equal(matrices.mm_read(path), M)
+    assert seen == []
+    # a comment after the size line sends the same values line by line
+    path.write_text(f"%%MatrixMarket matrix array real symmetric\n5 5\n% note\n{body}")
+    out = matrices.mm_read(path)
+    assert np.array_equal(out, M) and out.flags.f_contiguous
+    assert seen == list(range(4, 4 + 15))
+
+
 @pytest.mark.parametrize("size, body, shape", [
     ("0 3", "", (0, 3)), ("0 0", "\n  \n", (0, 0)), ("2 1", "", None),
     ("2 1", "\n\n", None)])
