@@ -67,7 +67,7 @@ def write_trace_csv(path, trace, timings=False):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--config", help="key=value file; explicit flags override it")
 
@@ -95,6 +95,14 @@ def _count(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text):
+    """argparse type of a seed: an integer >= 0, as PCG64 takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return value
 
 
@@ -301,7 +309,7 @@ Point = namedtuple("Point", "labels method iters w q shape records trace level",
 # column asks for the best-label step (see _append_best).  reads names the
 # optional flags of _PRESET_FLAGS the preset uses; any other is refused.
 Preset = namedtuple("Preset", "header grid reads")
-_PRESET_FLAGS = ("full", "n", "matrix", "xhat", "trials")
+_PRESET_FLAGS = ("full", "n", "matrix", "xhat", "trials", "timings")
 
 
 def _corruption_scale(full, ns):
@@ -340,7 +348,8 @@ def _three_methods(block_iters, block_w, shape, level):
 
 PRESETS = {
     "corruption-scale": Preset(("method", "corruption_scale", "iters_to_5e-2",
-                                "final_rel_error"), _corruption_scale, ("full", "trials")),
+                                "final_rel_error"), _corruption_scale,
+                               ("full", "trials", "timings")),
     "stepsize-sweep": Preset(("n", "w_over_n", "rel_error_at_20", "best_w_over_n"),
                              _stepsize_sweep, ("full", "n", "trials")),
     "qbeta-grid": Preset(("q", "rel_error_at_40", "best_q"), _qbeta_grid,
@@ -349,10 +358,10 @@ PRESETS = {
         ("method", "iters_to_1e-2", "final_rel_error"),
         lambda full, ns: _three_methods(
             3000, "1.7n", (2000, 200 if full else 100, 10, 100.0, 0.0), 1e-2),
-        ("full", "trials")),
+        ("full", "trials", "timings")),
     "realdata": Preset(("method", "final_rel_error"),
                        lambda full, ns: _three_methods(500, "1.0n", None, None),
-                       ("matrix", "xhat")),
+                       ("matrix", "xhat", "timings")),
 }
 
 
@@ -437,6 +446,8 @@ def cmd_experiment(args, parser):
 
 
 def cmd_spectral(args, parser):
+    # q and lambda follow solve's rules
+    solvers.SolverConfig(quantile_q=args.q, lam=args.lam).validate()
     inst = instances.load_bundle(args.instance)
     mode = "sampled" if args.sampled else "exact"
     try:

@@ -223,13 +223,16 @@ def mm_read(path):
 
 
 def _dims(sizes, count, lineno, message):
-    """The count integers of a size line."""
+    """The count nonnegative integers of a size line."""
     if len(sizes) != count:
         raise ParseError(lineno, message)
     try:
-        return [int(s) for s in sizes]
+        dims = [int(s) for s in sizes]
     except ValueError:
         raise ParseError(lineno, "non-integer dimensions") from None
+    if min(dims) < 0:
+        raise ParseError(lineno, "negative dimensions")
+    return dims
 
 
 def _entries(body, size_lineno, expected):

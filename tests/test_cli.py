@@ -290,6 +290,28 @@ def test_bad_corruption_setting_exits_1_naming_it(tmp_path, capsys, realdata_fil
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "spectral", "experiment"])
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
+    # PCG64 takes seeds >= 0: refused by argv and by a config file alike
+    argv = {"generate": ["generate", *GENERATED],
+            "solve": ["solve", *GENERATED, "--iters", "5"],
+            "spectral": ["spectral", "--instance", make_bundle(tmp_path), "--q", "0.5",
+                         "--sampled", "--samples", "5"],
+            "experiment": ["experiment", "qbeta-grid", "--trials", "1"]}[command]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--seed", "-1"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+    (tmp_path / "seed.cfg").write_text("seed=-1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", str(tmp_path / "seed.cfg")])
+    assert exc.value.code == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_trace_csv_gets_the_mode_of_bundle_files(tmp_path):
     # all are created the way open() creates a file: 0o666 less the umask
     old = os.umask(0o022)
@@ -535,6 +557,26 @@ def test_summary_cmd_line_is_mains_argv_relative_to_out(tmp_path):
             "# cmd: qkaczmarz spectral --inst inst --q 0.5 --out=.\n"
 
 
+@pytest.mark.parametrize("extra, name, xhat", [
+    (["--q", "nan"], "quantile_q", True),
+    (["--q", "inf"], "quantile_q", True),
+    (["--q", "1.5"], "quantile_q", False),
+    (["--lambda", "nan"], "lambda", True),
+    (["--lambda", "-1"], "lambda", True),
+], ids=["q-nan", "q-inf", "q-1.5-without-xhat", "lambda-nan", "lambda-negative"])
+def test_spectral_q_and_lambda_follow_solves_rules(tmp_path, capsys, extra, name, xhat):
+    bundle = make_bundle(tmp_path)
+    if not xhat:
+        os.unlink(os.path.join(bundle, "xhat.mtx"))
+    capsys.readouterr()
+    code = run_cli(["spectral", "--instance", bundle, "--q", "0.5", *extra,
+                    "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not os.path.exists(tmp_path / "spectral.csv")
+
+
 def test_spectral_budget_exceeded_hints_sampled(tmp_path, capsys):
     bundle = make_bundle(tmp_path, m=60, n=14)
     capsys.readouterr()
@@ -696,7 +738,8 @@ def test_experiment_jobs_must_be_positive(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
 def test_experiment_refuses_flags_its_preset_does_not_read(tmp_path, capsys, preset):
-    values = {"full": [], "n": ["5"], "matrix": ["nothere.mtx"], "xhat": ["x.mtx"]}
+    values = {"full": [], "n": ["5"], "matrix": ["nothere.mtx"], "xhat": ["x.mtx"],
+              "timings": []}
     reads = cli.PRESETS[preset].reads
     for flag, value in values.items():
         if flag in reads:

@@ -359,6 +359,23 @@ def test_mm_read_takes_symmetric_array_files_through_the_c_parser(tmp_path,
     assert seen == list(range(4, 4 + 15))
 
 
+@pytest.mark.parametrize("header, size", [
+    ("array real general", "-1 -1"),
+    ("array real general", "2 -3"),
+    ("array real symmetric", "-2 -2"),
+    ("coordinate real general", "-1 2 0"),
+    ("coordinate real symmetric", "2 -2 1"),
+    ("coordinate real general", "2 2 -1"),
+], ids=["array", "array-n", "array-symmetric", "coordinate-m", "coordinate-n",
+        "coordinate-nnz"])
+def test_mm_read_refuses_a_negative_size_at_the_size_line(tmp_path, header, size):
+    path = tmp_path / "neg.mtx"
+    path.write_text(f"%%MatrixMarket matrix {header}\n% c\n{size}\n1.0\n")
+    with pytest.raises(ParseError) as exc:
+        matrices.mm_read(path)
+    assert str(exc.value) == "line 3: negative dimensions"
+
+
 @pytest.mark.parametrize("size, body, shape", [
     ("0 3", "", (0, 3)), ("0 0", "\n  \n", (0, 0)), ("2 1", "", None),
     ("2 1", "\n\n", None)])
