@@ -67,7 +67,7 @@ def write_trace_csv(path, trace, timings=False):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--config", help="key=value file; explicit flags override it")
 
@@ -90,20 +90,14 @@ def _int_list(text):
     return [int(t) for t in text.split(",")]
 
 
-def _count(text):
-    """argparse type of a count: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _seed(text):
-    """argparse type of a seed: an integer >= 0, as PCG64 takes."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
+def _at_least(low):
+    """argparse type of an integer >= low: counts take 1, seeds 0 (as PCG64)."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return integer
 
 
 def build_parser():
@@ -124,7 +118,7 @@ def build_parser():
     s.add_argument("--lambda", dest="lam", type=float, default=1.0)
     s.add_argument("--w", default="1.0", help="stepsize: constant or '1.7n'")
     s.add_argument("--iters", type=int, default=1000)
-    s.add_argument("--trials", type=_count, default=1)
+    s.add_argument("--trials", type=_at_least(1), default=1)
     s.add_argument("--trace-every", type=int, default=1)
     s.add_argument("--stop-tol", type=float)
     s.add_argument("--timings", action="store_true",
@@ -134,14 +128,14 @@ def build_parser():
     e = sub.add_parser("experiment", help="run a named experiment preset")
     _add_common(e)
     e.add_argument("preset", choices=list(PRESETS))
-    e.add_argument("--jobs", type=_count, default=1,
+    e.add_argument("--jobs", type=_at_least(1), default=1,
                    help="threads that run the preset's points")
     e.add_argument("--full", action="store_true",
                    help="paper-scale dimensions instead of desk-scale defaults")
     e.add_argument("--beta", type=float, default=0.2)
     e.add_argument("--n", type=_int_list,
                    help="comma-separated n values (stepsize-sweep)")
-    e.add_argument("--trials", type=_count,
+    e.add_argument("--trials", type=_at_least(1),
                    help="trials per generated point: default 21, or 100 with --full")
     e.add_argument("--matrix", help="Matrix Market matrix (realdata)")
     e.add_argument("--xhat", help="Matrix Market ground truth (realdata)")
@@ -153,7 +147,7 @@ def build_parser():
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--sampled", action="store_true")
-    sp.add_argument("--samples", type=_count, default=10000)
+    sp.add_argument("--samples", type=_at_least(1), default=10000)
 
     return parser
 
