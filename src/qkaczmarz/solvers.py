@@ -183,27 +183,28 @@ def step_single(state, instance, config, sampler):
     else:
         t = float(np.dot(a_i, state.x)) - b[i]
     x_star = state.x_star - t * a_i
-    return IterateState(
-        x=bregman.soft_shrink(x_star, config.lam),
-        x_star=x_star,
-        k=state.k + 1,
-        last_quantile=Q,
-        last_set_size=pool.shape[0],
-    )
+    return _advance(state, x_star, config.lam, Q, pool.shape[0])
 
 
 def step_averaged_block(state, instance, config):
     """One averaged-block iteration: weighted mean of row corrections.
 
-    The acceptable set uses a strict comparison against the quantile; the
-    all-residuals-zero case raises EmptyAcceptableSet and is reported by
-    run() as convergence.
+    The acceptable set uses a strict comparison against the quantile, so it
+    is empty when every residual ties.  If they all tie at zero (within
+    _ZERO_RES_TOL relative to b) the system is solved: the state comes back
+    unchanged, marked converged.  Any other empty set raises
+    EmptyAcceptableSet.
     """
     A, b = instance.A, instance.b_observed
     res = matrices.support_residuals(A, state.x, b)
     abs_res = np.abs(res)
     Q = quantiles.q_quantile(abs_res, config.quantile_q)
-    T = quantiles.acceptable_set(abs_res, Q, strict=True)
+    try:
+        T = quantiles.acceptable_set(abs_res, Q, strict=True)
+    except EmptyAcceptableSet:
+        if not abs_res.max() <= _ZERO_RES_TOL * (1.0 + np.abs(b).max()):
+            raise
+        return replace(state, converged=True)
     eta = T.shape[0]
     w = resolve_stepsize(config.stepsize, A.shape[1])
     # scatter the weighted residuals into a zero m-vector instead of copying
@@ -211,24 +212,25 @@ def step_averaged_block(state, instance, config):
     v = np.zeros(A.shape[0])
     v[T] = w * res[T]
     x_star = state.x_star - (v @ A) / eta
-    return IterateState(
-        x=bregman.soft_shrink(x_star, config.lam),
-        x_star=x_star,
-        k=state.k + 1,
-        last_quantile=Q,
-        last_set_size=eta,
-    )
+    return _advance(state, x_star, config.lam, Q, eta)
+
+
+def _advance(state, x_star, lam, Q, set_size):
+    """The state one iteration on from `state`, with x = S_lam(x*)."""
+    return IterateState(bregman.soft_shrink(x_star, lam), x_star, state.k + 1,
+                        Q, set_size)
 
 
 def run(instance, config, record_bregman=True):
     """Iterate from x0 = x0* = 0; returns (final state, trace).
 
-    Stops at max_iters, at stop_tol on the relative error (needs x_hat), or
-    when the averaged-block acceptable set empties with all residuals zero
-    (converged).  Raises Diverged as soon as the iterate, or a relative
-    error or Bregman distance it records, is not finite; the overflow on
-    the way there is reported by that error alone, not by numpy warnings.
-    The trace records every trace_every-th iteration and the final one.
+    Stops at max_iters or once the state is converged: the averaged-block
+    step marks it so when all residuals are zero, and run when the relative
+    error reaches stop_tol (needs x_hat).  Raises Diverged as soon as the
+    iterate, or a relative error or Bregman distance it records, is not
+    finite; the overflow on the way there is reported by that error alone,
+    not by numpy warnings.  The trace records every trace_every-th
+    iteration and the final one, each once.
     """
     config.validate()
     A = instance.A
@@ -254,10 +256,10 @@ def run(instance, config, record_bregman=True):
         d = x - x_hat
         return math.sqrt(d.dot(d)) / norm_hat
 
-    def record(st):
-        rel = dist = None
+    def record(st, rel):
+        dist = None
         if x_hat is not None:
-            rel = rel_error(st.x)
+            rel = rel_error(st.x) if rel is None else rel
             if record_bregman:
                 dist = bregman.bregman_distance(
                     st.x, st.x_star, x_hat, config.lam, validate=False, f_y=f_hat
@@ -266,26 +268,16 @@ def run(instance, config, record_bregman=True):
                 raise Diverged(st.k)
         trace.append(st.k, rel, dist, st.last_quantile, st.last_set_size,
                      time.perf_counter() - start)
-        return rel
 
     with np.errstate(over="ignore", invalid="ignore"):
-        while state.k < config.max_iters:
-            try:
-                if config.method == "averaged-block":
-                    state = step_averaged_block(state, instance, config)
-                else:
-                    state = step_single(state, instance, config, sampler)
-            except EmptyAcceptableSet:
-                res = matrices.support_residuals(A, state.x, instance.b_observed)
-                if np.abs(res).max(initial=0.0) <= _ZERO_RES_TOL * (1.0 + np.abs(instance.b_observed).max()):
-                    state.converged = True
-                    record(state)
-                    return state, trace
-                raise
+        while not state.converged and state.k < config.max_iters:
+            if config.method == "averaged-block":
+                state = step_averaged_block(state, instance, config)
+            else:
+                state = step_single(state, instance, config, sampler)
             if not np.isfinite(state.x).all():
                 raise Diverged(state.k)
-
-            if quantile_bound is not None:
+            if quantile_bound is not None and not state.converged:
                 bound = quantile_bound(state.x)
                 if state.last_quantile > bound + 1e-9:
                     raise AssertionError(
@@ -293,16 +285,14 @@ def run(instance, config, record_bregman=True):
                         f"{bound} at iteration {state.k}"
                     )
 
-            due = state.k % config.trace_every == 0 or state.k == config.max_iters
-            rel = record(state) if due else None
-            if config.stop_tol is not None:
-                if rel is None:
-                    rel = rel_error(state.x)
-                if rel <= config.stop_tol:
-                    state.converged = True
-                    if not due:
-                        record(state)
-                    return state, trace
+            rel = None if config.stop_tol is None else rel_error(state.x)
+            if rel is not None and rel <= config.stop_tol:
+                state.converged = True
+            # a zero-residual stop hands back an iteration already recorded
+            if trace.ks[-1:] != [state.k] and (
+                    state.converged or state.k % config.trace_every == 0
+                    or state.k == config.max_iters):
+                record(state, rel)
     return state, trace
 
 

@@ -83,15 +83,20 @@ def test_inexact_equals_exact_when_lambda_zero():
 
 # --------------------------------------------------------- averaged block
 
-def test_block_step_all_zero_residuals_raises():
+def test_block_step_all_zero_residuals_returns_converged_state():
+    # the strict filter empties on a solved system; the step reports that
+    # as convergence and leaves the iterate where it is
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
     x = np.array([1.0, 2.0])
     inst = toy_instance(A, A @ x)
     config = solvers.SolverConfig(method="averaged-block", lam=0.0,
                                   quantile_q=1.0, stepsize=1.0, max_iters=1)
-    st = solvers.IterateState(x=x.copy(), x_star=x.copy())
-    with pytest.raises(EmptyAcceptableSet):
-        solvers.step_averaged_block(st, inst, config)
+    st = solvers.IterateState(x=x.copy(), x_star=x.copy(), k=3,
+                              last_quantile=0.5, last_set_size=1)
+    nxt = solvers.step_averaged_block(st, inst, config)
+    assert nxt.converged and not st.converged
+    assert (nxt.k, nxt.last_quantile, nxt.last_set_size) == (3, 0.5, 1)
+    assert np.array_equal(nxt.x, x) and np.array_equal(nxt.x_star, x)
 
 
 def test_block_run_reports_convergence_on_zero_residuals():
