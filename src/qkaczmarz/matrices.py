@@ -179,12 +179,17 @@ def mm_read(path):
     if layout == "array":
         m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
         expected = m * n if symmetry == "general" else m * (m + 1) // 2
-        # numpy's C parser, else line by line; either way the entry count is
-        # checked before the shape and the values after it
+        # numpy's C parser, else line by line
         values = _c_parsed(body, expected)
         lines = _entries(body, size_lineno, expected) if values is None else ()
-        if symmetry == "symmetric" and m != n:
-            raise ParseError(size_lineno, "symmetric matrix must be square")
+    else:
+        m, n, nnz = _dims(sizes, 3, size_lineno,
+                          "coordinate size line must be 'm n nnz'")
+        lines = _entries(body, size_lineno, nnz)
+    # either layout checks the entry count before the shape, the values after
+    if symmetry == "symmetric" and m != n:
+        raise ParseError(size_lineno, "symmetric matrix must be square")
+    if layout == "array":
         if values is None:
             values = np.array([_parse_value(txt, lineno) for lineno, txt in lines])
         if symmetry == "general":
@@ -198,11 +203,8 @@ def mm_read(path):
             out[i, j] = values
             out[j, i] = values
     else:
-        m, n, nnz = _dims(sizes, 3, size_lineno,
-                          "coordinate size line must be 'm n nnz'")
-        entries = _entries(body, size_lineno, nnz)
         out = np.zeros((m, n), order="F")
-        for lineno, txt in entries:
+        for lineno, txt in lines:
             parts = txt.split()
             if len(parts) != 3:
                 raise ParseError(lineno, "coordinate entry must be 'i j value'")

@@ -5,10 +5,14 @@ averaged-block method, plus every baseline obtained by switching the
 single-row quantile filter off (plain randomized / sparse Kaczmarz) or by
 setting lambda = 0.
 
+A step returns the next state (x = S_lam(x*), k + 1) and mutates nothing;
+the averaged-block step returns a solved state unchanged, marked converged.
+
 Row index sampling uses rejection sampling on 64-bit words from a seeded
 PCG64 stream, so identical (instance, config, seed) runs draw the same rows.
-Averaged-block traces repeat bit for bit only at a fixed BLAS thread count:
-a threaded `v @ A` may sum in another order.
+Traces repeat bit for bit for one numpy/OpenBLAS version, OpenBLAS kernel
+and BLAS thread count: kernels round differently, and a threaded `v @ A` may
+sum the block update in another order.
 """
 
 import math
@@ -271,19 +275,21 @@ def run(instance, config, record_bregman=True):
 
     with np.errstate(over="ignore", invalid="ignore"):
         while not state.converged and state.k < config.max_iters:
+            if quantile_bound is not None:
+                # Lemma 3.1 at the iterate whose residuals the step filters
+                bound = quantile_bound(state.x)
             if config.method == "averaged-block":
                 state = step_averaged_block(state, instance, config)
             else:
                 state = step_single(state, instance, config, sampler)
             if not np.isfinite(state.x).all():
                 raise Diverged(state.k)
-            if quantile_bound is not None and not state.converged:
-                bound = quantile_bound(state.x)
-                if state.last_quantile > bound + 1e-9:
-                    raise AssertionError(
-                        f"residual quantile {state.last_quantile} exceeds bound "
-                        f"{bound} at iteration {state.k}"
-                    )
+            if quantile_bound is not None and not state.converged \
+                    and state.last_quantile > bound + 1e-9:
+                raise AssertionError(
+                    f"residual quantile {state.last_quantile} exceeds bound "
+                    f"{bound} at iteration {state.k}"
+                )
 
             rel = None if config.stop_tol is None else rel_error(state.x)
             if rel is not None and rel <= config.stop_tol:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkaczmarz import cli
+from qkaczmarz import cli, instances
 
 
 def run_cli(argv):
@@ -215,6 +215,24 @@ def test_solve_short_diverging_run_exits_1_without_warnings(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert "diverged" in err and "not finite after iteration" in err
+
+
+def test_solve_zero_residual_stop_records_its_iteration_once(tmp_path):
+    # the first block step solves the system; the second finds every
+    # residual zero and stops the run at the iteration already recorded
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [2 ** -0.5, 2 ** -0.5]])
+    x_hat = np.ones(2)
+    b = A @ x_hat
+    bundle = tmp_path / "inst"
+    bundle.mkdir()
+    instances.save_bundle(instances.ProblemInstance(
+        A=A, b_clean=b, b_corrupt=np.zeros(3), noise=np.zeros(3), b_observed=b,
+        x_hat=x_hat, beta=0.0, corruption_scale=0.0, noise_bound=0.0, seed=0),
+        str(bundle))
+    assert run_cli(["solve", "--instance", str(bundle), "--method", "quantile-rka",
+                    "--q", "1", "--w", "2", "--iters", "10",
+                    "--out", str(tmp_path)]) == 0
+    assert column(tmp_path / "trace_quantile-rka.csv", "k") == ["1"]
 
 
 def test_solve_bundle_with_nan_exits_1(tmp_path, capsys):

@@ -376,6 +376,18 @@ def test_mm_read_refuses_a_negative_size_at_the_size_line(tmp_path, header, size
     assert str(exc.value) == "line 3: negative dimensions"
 
 
+@pytest.mark.parametrize("body", ["3 2 1\n3 1 1.0\n", "3 2 1\n2 1 1.0\n"],
+                         ids=["entry-past-the-mirror", "entry-inside-both"])
+def test_mm_read_refuses_a_non_square_symmetric_coordinate_file(tmp_path, body):
+    # one mirror write would land outside the matrix, the other would build
+    # a 3x2 matrix that is not symmetric: both are refused at the size line
+    path = tmp_path / "sym.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{body}")
+    with pytest.raises(ParseError) as exc:
+        matrices.mm_read(path)
+    assert str(exc.value) == "line 2: symmetric matrix must be square"
+
+
 @pytest.mark.parametrize("size, body, shape", [
     ("0 3", "", (0, 3)), ("0 0", "\n  \n", (0, 0)), ("2 1", "", None),
     ("2 1", "\n\n", None)])

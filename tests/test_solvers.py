@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from qkaczmarz import bregman, instances, quantiles, solvers
+from qkaczmarz import bregman, instances, quantiles, solvers, theory
 from qkaczmarz.errors import ConfigInvalid, Diverged, EmptyAcceptableSet
 
 rng = np.random.default_rng(21)
@@ -317,6 +317,36 @@ def test_quantile_bound_runtime_check_passes():
                                   trace_every=500, check_quantile_bound=True)
     state, _ = solvers.run(inst, config)  # raises on any violation
     assert state.k == 2000
+
+
+def test_quantile_bound_is_evaluated_at_the_pre_step_iterate(monkeypatch):
+    # the quantile a step records is that of |A x - b| at the iterate it
+    # started from, and Lemma 3.1 bounds it by the error at that iterate
+    seen = []
+    lemma31_bound = theory.lemma31_bound
+
+    def recording_bound(*args):
+        bound = lemma31_bound(*args)
+
+        def at(x):
+            seen.append(x.copy())
+            return bound(x)
+        return at
+
+    monkeypatch.setattr(theory, "lemma31_bound", recording_bound)
+    inst = gaussian_instance(50, 10, 3, beta=0.2, k=50.0, noise=0.01, seed=12)
+    config = solvers.SolverConfig(method="single-row-inexact", lam=0.1,
+                                  quantile_q=0.5, max_iters=40, seed=7,
+                                  check_quantile_bound=True)
+    solvers.run(inst, config)
+    sampler = word_stream(7)
+    state = solvers.zero_state(10)
+    pre_step = []
+    for _ in range(40):
+        pre_step.append(state.x)
+        state = solvers.step_single(state, inst, config, sampler)
+    assert len(seen) == len(pre_step)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, pre_step))
 
 
 def test_stop_tol_and_exit_state():
