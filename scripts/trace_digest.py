@@ -1,9 +1,11 @@
 """Digest the traces and final iterates of seeded solver runs.
 
-Prints one line per case: shape, seed, method and the sha256 of the
-instance's A and b, of every trace column but `elapsed`, and of the final
-x and x*.  Run it on two checkouts and compare the outputs to check that a
-change keeps every bit of the solvers' results:
+First prints one line naming what the bits depend on: the numpy version,
+the BLAS library and version, and the OPENBLAS_CORETYPE and
+OPENBLAS_NUM_THREADS settings.  Then one line per case: shape, seed, method
+and the sha256 of the instance's A and b, of every trace column but
+`elapsed`, and of the final x and x*.  Run it on two checkouts and compare
+the outputs to check that a change keeps every bit of the solvers' results:
 
     PYTHONPATH=src python3 scripts/trace_digest.py > new.txt
     (cd ../parent && PYTHONPATH=src python3 scripts/trace_digest.py) > old.txt
@@ -11,6 +13,16 @@ change keeps every bit of the solvers' results:
 
 Give both runs one BLAS thread (OPENBLAS_NUM_THREADS=1): a threaded v @ A
 may sum in another order, and the 10000x500 block traces then differ.
+OpenBLAS rounds differently per CPU kernel, so the reference outputs
+committed beside this script, trace_digest_full.txt and
+trace_digest_quick_cli.txt, are made under a named one and regenerated with
+
+    export OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src
+    python3 scripts/trace_digest.py > scripts/trace_digest_full.txt
+    python3 scripts/trace_digest.py --quick --cli > scripts/trace_digest_quick_cli.txt
+
+Any x86-64 CPU with AVX2 runs that kernel; with the numpy version the first
+line names, it gives the same bytes.
 
 `--quick` runs only the smallest shape.  `--cli` then runs a small CLI
 journey in a temporary directory (generate; solve with every method, with
@@ -201,7 +213,16 @@ def cli_journey():
     return failed
 
 
+def versions():
+    """The numpy and BLAS versions and the OpenBLAS settings of this run."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    settings = " ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS"))
+    return f"numpy={np.__version__} blas={blas['name']} {blas['version']} {settings}"
+
+
 def main(argv):
+    print(versions(), flush=True)
     trace_cases("--quick" in argv)
     if "--cli" in argv:
         failed = cli_journey()
