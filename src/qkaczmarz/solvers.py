@@ -294,10 +294,11 @@ def run(instance, config, record_bregman=True):
             rel = None if config.stop_tol is None else rel_error(state.x)
             if rel is not None and rel <= config.stop_tol:
                 state.converged = True
-            # a zero-residual stop hands back an iteration already recorded
-            if trace.ks[-1:] != [state.k] and (
-                    state.converged or state.k % config.trace_every == 0
-                    or state.k == config.max_iters):
+            # a zero-residual stop hands back the last iteration, which may
+            # be recorded already
+            if (state.converged or state.k % config.trace_every == 0
+                    or state.k == config.max_iters) and (
+                    not state.converged or trace.ks[-1:] != [state.k]):
                 record(state, rel)
     return state, trace
 
