@@ -11,8 +11,11 @@ the averaged-block step returns a solved state unchanged, marked converged.
 Row index sampling uses rejection sampling on 64-bit words from a seeded
 PCG64 stream, so identical (instance, config, seed) runs draw the same rows.
 Traces repeat bit for bit for one numpy/OpenBLAS version, OpenBLAS kernel
-and BLAS thread count: kernels round differently, and a threaded `v @ A` may
-sum the block update in another order.
+and BLAS thread count: kernels round differently, and a threaded OpenBLAS
+may sum the block update in another order.  At one BLAS thread they do not
+depend on the CPU count: the residual's full A @ x and the block update's
+A.T @ v then run in blocks on every CPU the process may use, with the bits
+of one call (`matrices._dense_product`).
 """
 
 import math
@@ -212,10 +215,10 @@ def step_averaged_block(state, instance, config):
     eta = T.shape[0]
     w = resolve_stepsize(config.stepsize, A.shape[1])
     # scatter the weighted residuals into a zero m-vector instead of copying
-    # A[T]: v @ A streams A once, with no gather
+    # A[T]: A.T @ v streams A once, with no gather
     v = np.zeros(A.shape[0])
     v[T] = w * res[T]
-    x_star = state.x_star - (v @ A) / eta
+    x_star = state.x_star - matrices._dense_product(A, v, transposed=True) / eta
     return _advance(state, x_star, config.lam, Q, eta)
 
 
@@ -307,9 +310,12 @@ def median_of_trials(instance_for_trial, config, trials):
     """Componentwise-median relative-error trace over seeded trials.
 
     Trial j runs with seed config.seed + j on instance_for_trial(j) (pass a
-    constant function to reuse one instance).  stop_tol is ignored so every
-    trial produces the same trace grid; an even trial count takes the mean
-    of the two middle values.
+    constant function to reuse one instance).  stop_tol is ignored, so the
+    trials share one trace grid, that of the trial that ran longest; an
+    even trial count takes the mean of the two middle values.  A trial that
+    reached the averaged-block zero-residual stop earlier counts with its
+    last record at every later k: its converged state is a fixed point of
+    the step.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
@@ -320,8 +326,12 @@ def median_of_trials(instance_for_trial, config, trials):
         inst = instance_for_trial(j)
         _, tr = run(inst, replace(base, seed=config.seed + j), record_bregman=False)
         traces.append(tr)
+    ks = max((t.ks for t in traces), key=lambda ks: ks[-1])
+    # each trial's last record at or before every k of the grid
+    at = [np.searchsorted(t.ks, ks, side="right") - 1 for t in traces]
     rel, quantile, size, secs = (
-        np.median(np.array([getattr(t, column) for t in traces], dtype=float), axis=0)
+        np.median([np.asarray(getattr(t, column), dtype=float)[i]
+                   for t, i in zip(traces, at)], axis=0)
         for column in ("rel_error", "quantile", "set_size", "elapsed"))
-    return ConvergenceTrace(list(traces[0].ks), rel.tolist(), [None] * rel.size,
+    return ConvergenceTrace(list(ks), rel.tolist(), [None] * rel.size,
                             quantile.tolist(), size.astype(int).tolist(), secs.tolist())

@@ -1,6 +1,11 @@
 import math
+import os
+import signal
 import struct
+import threading
+import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -124,6 +129,127 @@ def test_support_residuals_read_only_the_support_columns():
     assert np.allclose(matrices.support_residuals(A, x, b), ref, rtol=0, atol=1e-14)
     x[[0, 1, 3]] = 1.0                   # 4 * 6 > 12: the full matvec
     assert np.isnan(matrices.support_residuals(A, x, b)).all()
+
+
+# ------------------------------------------------- split dense products
+
+# m and n at 0, 1 and 31 mod 32, and 4100x97, whose blocks once included a
+# one-column tail
+SPLIT_SHAPES = [(m, n) for m in (1024, 1025, 1055) for n in (96, 97, 127)] + [(4100, 97)]
+
+
+@pytest.mark.parametrize("m, n", SPLIT_SHAPES)
+def test_block_products_give_the_bits_of_one_call(m, n):
+    gen = np.random.default_rng(m * n)
+    A = np.asfortranarray(gen.standard_normal((m, n)))
+    v = gen.standard_normal(m)
+    v[gen.random(m) < 0.3] = 0.0         # as the block update's v
+    x = gen.standard_normal(n)
+    for transposed, vec, ref in ((True, v, v @ A), (False, x, A @ x)):
+        for count in range(1, 9):
+            bounds = matrices._block_bounds(ref.size, count)
+            assert 1 <= len(bounds) <= count
+            assert [lo for lo, _ in sorted(bounds)] == [0] + [hi for _, hi in sorted(bounds)][:-1]
+            assert max(hi for _, hi in bounds) == ref.size
+            assert all(lo % 32 == 0 for lo, _ in bounds)
+            widths = [hi - lo for lo, hi in bounds]
+            assert widths[0] == max(widths)
+            assert len(bounds) == 1 or min(widths) >= 32
+            out = np.empty(ref.shape)
+            for block in reversed(matrices._block_products(A, vec, out, transposed, count)):
+                block()
+            assert np.array_equal(out, ref), (transposed, count)
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """_dense_product splits any column-major A, over three CPUs."""
+    monkeypatch.setattr(matrices, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def test_a_split_product_runs_on_the_pool_with_the_bits_of_one_call(
+        split_everything, monkeypatch):
+    threads = {}
+    block_products = matrices._block_products
+
+    def recording(*args):
+        def on_thread(i, block):
+            threads[i] = threading.get_ident()
+            block()
+        return [partial(on_thread, i, b) for i, b in enumerate(block_products(*args))]
+
+    monkeypatch.setattr(matrices, "_block_products", recording)
+    A = np.asfortranarray(rng.standard_normal((700, 160)))
+    v, x = rng.standard_normal(700), rng.standard_normal(160)
+    assert np.array_equal(matrices._dense_product(A, v, transposed=True), v @ A)
+    # three blocks of 64, 64 and 32 columns: the caller's thread computes
+    # the first, the pool the others
+    assert sorted(threads) == [0, 1, 2]
+    assert threads[0] == threading.get_ident()
+    assert threading.get_ident() not in (threads[1], threads[2])
+    assert np.array_equal(matrices._dense_product(A, x), A @ x)
+
+
+@pytest.mark.parametrize("shape, layout, one_thread", [
+    ((2000, 100), "F", True),            # desk scale, below the threshold
+    ((1100, 1000), "C", True),           # above it, but row-major
+    ((1100, 1000), "F", False),          # above it, but a threaded OpenBLAS
+])
+def test_a_product_that_is_not_split_starts_no_thread(monkeypatch, shape,
+                                                      layout, one_thread):
+    class NoPool:
+        def submit(self, fn):
+            raise AssertionError("a block went to the pool")
+
+    monkeypatch.setattr(matrices, "_BLAS_ONE_THREAD", one_thread)
+    monkeypatch.setattr(matrices, "_POOL", NoPool())
+    assert shape[0] * shape[1] >= matrices._SPLIT_MIN_ENTRIES or shape == (2000, 100)
+    A = np.asarray(rng.standard_normal(shape), order=layout)
+    v, x = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    assert np.array_equal(matrices._dense_product(A, v, transposed=True), v @ A)
+    assert np.array_equal(matrices._dense_product(A, x), A @ x)
+
+
+def test_a_forked_child_splits_on_a_pool_of_its_own(split_everything):
+    A = np.asfortranarray(rng.standard_normal((300, 70)))
+    v = rng.standard_normal(300)
+    ref = v @ A
+    assert np.array_equal(matrices._dense_product(A, v, transposed=True), ref)
+    pid = os.fork()
+    if pid == 0:                         # the child never returns to pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(
+                matrices._dense_product(A, v, transposed=True), ref) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split product did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": " 2,1"}, 2),
+    ({"GOTO_NUM_THREADS": "-3", "OMP_NUM_THREADS": "1x"}, 1),
+])
+def test_openblas_threads_reads_the_environment_as_openblas_does(monkeypatch,
+                                                                 env, threads):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert matrices._openblas_threads() == threads
 
 
 def test_row_norms_do_not_depend_on_layout():

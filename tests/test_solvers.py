@@ -504,6 +504,24 @@ def test_median_of_trials_uses_shifted_seeds():
     assert tr.rel_error[-1] == pytest.approx(float(np.median(singles)))
 
 
+def test_median_of_trials_holds_a_stopped_trials_last_record():
+    # the exact 3x2 system stops at k = 1 (all residuals zero); the 20x2
+    # instance runs all 10 iterations, so the grid is its 10 records
+    toy = toy_instance([[1.0, 0.0], [0.0, 1.0], [2**-0.5, 2**-0.5]],
+                       [1.0, 1.0, 2**0.5], x_hat=[1.0, 1.0])
+    g = gaussian_instance(20, 2, 1, seed=4)
+    config = solvers.SolverConfig(method="averaged-block", lam=0.0,
+                                  quantile_q=1.0, stepsize=2.0, max_iters=10)
+    tr = solvers.median_of_trials(lambda j: [toy, g][j], config, 2)
+    stopped, full = (solvers.run(inst, replace(config, seed=j), record_bregman=False)[1]
+                     for j, inst in enumerate([toy, g]))
+    assert stopped.ks == [1] and full.ks == list(range(1, 11))
+    assert tr.ks == full.ks
+    assert tr.rel_error == [0.5 * (stopped.rel_error[0] + r) for r in full.rel_error]
+    assert tr.set_size == [int(np.median([stopped.set_size[0], s]))
+                           for s in full.set_size]
+
+
 @pytest.mark.parametrize("q, trials", [(None, 4), (0.7, 3), (0.7, 4)])
 def test_median_of_trials_takes_each_records_median(q, trials):
     inst = gaussian_instance(20, 6, 2, beta=0.1, k=5.0, seed=3)
