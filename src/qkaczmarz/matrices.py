@@ -21,7 +21,7 @@ import contextlib
 import io
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from functools import partial
 
 import numpy as np
@@ -65,19 +65,34 @@ def _openblas_threads():
 
 
 # A threaded OpenBLAS already spreads one call over the cores, faster than
-# blocks on top of it would, so only a one-thread OpenBLAS gets the split.
-_BLAS_ONE_THREAD = _openblas_threads() == 1
-# The threads that compute all blocks but the caller's; none starts before
-# the first split.  A forked child gets a pool of its own.
-_POOL = ThreadPoolExecutor(thread_name_prefix="qkaczmarz-block")
+# blocks on top of it would, so only a one-thread OpenBLAS gets the split,
+# where the OS tells which CPUs the process may use.
+_MAY_SPLIT = _openblas_threads() == 1 and hasattr(os, "sched_getaffinity")
+# The threads that compute all blocks but the caller's, made at the first
+# split.
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
-def _new_pool():
+def _block_pool():
     global _POOL
-    _POOL = ThreadPoolExecutor(thread_name_prefix="qkaczmarz-block")
+    with _POOL_LOCK:
+        if _POOL is None:
+            # imported here, so that a process that never splits loads no
+            # executor machinery
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(thread_name_prefix="qkaczmarz-block")
+        return _POOL
 
 
-os.register_at_fork(after_in_child=_new_pool)
+def _forget_pool():
+    """A forked child makes a pool of its own: the parent's threads do not
+    exist in it, and its lock may be held by one of them."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def normalize_rows(A, out=None):
@@ -148,12 +163,12 @@ def _dense_product(A, vec, transposed=False):
     Otherwise it makes that one call and starts no thread.  (A row-major A
     is not split: its blocks of A.T @ v round differently.)
     """
-    if not (_BLAS_ONE_THREAD and A.size >= _SPLIT_MIN_ENTRIES and A.flags.f_contiguous):
+    if not (_MAY_SPLIT and A.size >= _SPLIT_MIN_ENTRIES and A.flags.f_contiguous):
         return vec @ A if transposed else A @ vec
     out = np.empty(A.shape[1] if transposed else A.shape[0])
     mine, *rest = _block_products(A, vec, out, transposed,
                                   len(os.sched_getaffinity(0)))
-    futures = [_POOL.submit(block) for block in rest]
+    futures = [_block_pool().submit(block) for block in rest]
     try:
         mine()
     finally:

@@ -326,7 +326,7 @@ def median_of_trials(instance_for_trial, config, trials):
         inst = instance_for_trial(j)
         _, tr = run(inst, replace(base, seed=config.seed + j), record_bregman=False)
         traces.append(tr)
-    ks = max((t.ks for t in traces), key=lambda ks: ks[-1])
+    ks = max((t.ks for t in traces), key=lambda grid: grid[-1])
     # each trial's last record at or before every k of the grid
     at = [np.searchsorted(t.ks, ks, side="right") - 1 for t in traces]
     rel, quantile, size, secs = (

@@ -135,7 +135,8 @@ def test_support_residuals_read_only_the_support_columns():
 
 # m and n at 0, 1 and 31 mod 32, and 4100x97, whose blocks once included a
 # one-column tail
-SPLIT_SHAPES = [(m, n) for m in (1024, 1025, 1055) for n in (96, 97, 127)] + [(4100, 97)]
+SPLIT_SHAPES = [(m, n) for m in (1024, 1025, 1055)
+                for n in (96, 97, 127)] + [(4100, 97)]
 
 
 @pytest.mark.parametrize("m, n", SPLIT_SHAPES)
@@ -149,14 +150,16 @@ def test_block_products_give_the_bits_of_one_call(m, n):
         for count in range(1, 9):
             bounds = matrices._block_bounds(ref.size, count)
             assert 1 <= len(bounds) <= count
-            assert [lo for lo, _ in sorted(bounds)] == [0] + [hi for _, hi in sorted(bounds)][:-1]
-            assert max(hi for _, hi in bounds) == ref.size
+            cuts = sorted(bounds)            # consecutive, from 0 to the end
+            assert [lo for lo, _ in cuts] == [0] + [hi for _, hi in cuts[:-1]]
+            assert cuts[-1][1] == ref.size
             assert all(lo % 32 == 0 for lo, _ in bounds)
             widths = [hi - lo for lo, hi in bounds]
             assert widths[0] == max(widths)
             assert len(bounds) == 1 or min(widths) >= 32
             out = np.empty(ref.shape)
-            for block in reversed(matrices._block_products(A, vec, out, transposed, count)):
+            blocks = matrices._block_products(A, vec, out, transposed, count)
+            for block in reversed(blocks):
                 block()
             assert np.array_equal(out, ref), (transposed, count)
 
@@ -164,7 +167,7 @@ def test_block_products_give_the_bits_of_one_call(m, n):
 @pytest.fixture
 def split_everything(monkeypatch):
     """_dense_product splits any column-major A, over three CPUs."""
-    monkeypatch.setattr(matrices, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(matrices, "_MAY_SPLIT", True)
     monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
     monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
@@ -203,10 +206,10 @@ def test_a_product_that_is_not_split_starts_no_thread(monkeypatch, shape,
         def submit(self, fn):
             raise AssertionError("a block went to the pool")
 
-    monkeypatch.setattr(matrices, "_BLAS_ONE_THREAD", one_thread)
+    monkeypatch.setattr(matrices, "_MAY_SPLIT", one_thread)
     monkeypatch.setattr(matrices, "_POOL", NoPool())
-    assert shape[0] * shape[1] >= matrices._SPLIT_MIN_ENTRIES or shape == (2000, 100)
     A = np.asarray(rng.standard_normal(shape), order=layout)
+    assert (A.size < matrices._SPLIT_MIN_ENTRIES) == (shape == (2000, 100))
     v, x = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
     assert np.array_equal(matrices._dense_product(A, v, transposed=True), v @ A)
     assert np.array_equal(matrices._dense_product(A, x), A @ x)
@@ -217,12 +220,14 @@ def test_a_forked_child_splits_on_a_pool_of_its_own(split_everything):
     v = rng.standard_normal(300)
     ref = v @ A
     assert np.array_equal(matrices._dense_product(A, v, transposed=True), ref)
+    assert matrices._POOL is not None
     pid = os.fork()
     if pid == 0:                         # the child never returns to pytest
         code = 1
         try:
-            code = 0 if np.array_equal(
-                matrices._dense_product(A, v, transposed=True), ref) else 2
+            if matrices._POOL is None:
+                code = 0 if np.array_equal(
+                    matrices._dense_product(A, v, transposed=True), ref) else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
