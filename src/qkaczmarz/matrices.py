@@ -11,15 +11,18 @@ immutable afterwards.
 The two dense m x n products of an iteration, the full A @ x of
 `support_residuals` and the averaged-block update A.T @ v, go through
 `_dense_product`.  When OpenBLAS runs one thread and a column-major A has
-at least _SPLIT_MIN_ENTRIES entries, it cuts the rows (columns) into one
-block per CPU the process may use and computes the blocks on those CPUs at
-once.  The blocks give the bits of the single BLAS call, so results do not
-depend on the CPU count.  Otherwise it makes that single call.
+at least _SPLIT_MIN_ENTRIES entries, it cuts the rows (columns) into
+_BLOCKS_PER_CPU blocks per CPU the process may use, which the caller's
+thread and one helper thread per other CPU take as they come free.  The
+blocks give the bits of the single BLAS call, so results depend neither on
+the CPU count nor on which thread computed a block.  Otherwise it makes
+that single call.
 """
 
 import contextlib
 import io
 import os
+import queue
 import re
 import threading
 from functools import partial
@@ -50,6 +53,10 @@ _SPLIT_MIN_ENTRIES = 2**20
 # block is narrower: OpenBLAS then sums every entry as one call does.  A cut
 # at 2 mod 4, or a one-column tail block, changes bits.
 _SPLIT_ALIGN = 32
+# Blocks per CPU of a split product, taken by whichever thread is free: a
+# helper that wakes late, or runs on a CPU another tenant slows, leaves the
+# caller at most one block to wait for.
+_BLOCKS_PER_CPU = 4
 
 
 def _openblas_threads():
@@ -68,31 +75,35 @@ def _openblas_threads():
 # blocks on top of it would, so only a one-thread OpenBLAS gets the split,
 # where the OS tells which CPUs the process may use.
 _MAY_SPLIT = _openblas_threads() == 1 and hasattr(os, "sched_getaffinity")
-# The threads that compute all blocks but the caller's, made at the first
-# split.
-_POOL = None
-_POOL_LOCK = threading.Lock()
+# Work for the helper threads of _dense_product, and their count; the
+# threads are started at the first split that needs them.
+_JOBS = queue.SimpleQueue()
+_HELPERS = 0
+_HELPERS_LOCK = threading.Lock()
 
 
-def _block_pool():
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            # imported here, so that a process that never splits loads no
-            # executor machinery
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(thread_name_prefix="qkaczmarz-block")
-        return _POOL
+def _help():
+    # a helper thread's life: the next job, forever; the jobs catch errors
+    while True:
+        _JOBS.get()()
 
 
-def _forget_pool():
-    """A forked child makes a pool of its own: the parent's threads do not
-    exist in it, and its lock may be held by one of them."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+def _enough_helpers(count):
+    global _HELPERS
+    with _HELPERS_LOCK:
+        while _HELPERS < count:
+            threading.Thread(target=_help, name="qkaczmarz-block", daemon=True).start()
+            _HELPERS += 1
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+def _forget_helpers():
+    """A forked child starts helpers of its own: the parent's threads do not
+    exist in it, and its locks may be held by one of them."""
+    global _JOBS, _HELPERS, _HELPERS_LOCK
+    _JOBS, _HELPERS, _HELPERS_LOCK = queue.SimpleQueue(), 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def normalize_rows(A, out=None):
@@ -157,24 +168,49 @@ def _dense_product(A, vec, transposed=False):
     """A @ vec, or A.T @ vec when transposed (the bits of vec @ A), with the
     bits of that one BLAS call.
 
-    When OpenBLAS runs one thread and a column-major A has at least
-    _SPLIT_MIN_ENTRIES entries, there is one block per CPU the process may
-    use: the caller's thread computes the widest and the pool the others.
-    Otherwise it makes that one call and starts no thread.  (A row-major A
-    is not split: its blocks of A.T @ v round differently.)
+    When OpenBLAS runs one thread, the process may use more than one CPU
+    and a column-major A has at least _SPLIT_MIN_ENTRIES entries, the
+    product is cut into _BLOCKS_PER_CPU blocks per CPU.  The caller's thread
+    and one helper per other CPU each take the next block not yet taken
+    until none is left, so a helper that starts late, or runs on a slower
+    CPU, computes fewer blocks instead of holding up the result.  Otherwise
+    it makes that one call and starts no thread.  (A row-major A is not
+    split: its blocks of A.T @ v round differently.)
     """
-    if not (_MAY_SPLIT and A.size >= _SPLIT_MIN_ENTRIES and A.flags.f_contiguous):
+    cpus = 1
+    if _MAY_SPLIT and A.size >= _SPLIT_MIN_ENTRIES and A.flags.f_contiguous:
+        cpus = len(os.sched_getaffinity(0))
+    if cpus == 1:
         return vec @ A if transposed else A @ vec
     out = np.empty(A.shape[1] if transposed else A.shape[0])
-    mine, *rest = _block_products(A, vec, out, transposed,
-                                  len(os.sched_getaffinity(0)))
-    futures = [_block_pool().submit(block) for block in rest]
-    try:
-        mine()
-    finally:
-        # every block writes into out: all end before it is returned
-        for future in futures:
-            future.result()
+    blocks = _block_products(A, vec, out, transposed, _BLOCKS_PER_CPU * cpus)
+    # next() on a list iterator runs under the GIL: each block is taken once
+    todo = iter(blocks)
+    helped = queue.SimpleQueue()
+
+    def help_out():
+        # a helper that starts after the caller has returned finds no block
+        for block in todo:
+            try:
+                block()
+            except BaseException as exc:
+                helped.put(exc)
+            else:
+                helped.put(None)
+
+    helpers = min(cpus, len(blocks)) - 1
+    _enough_helpers(helpers)
+    for _ in range(helpers):
+        _JOBS.put(help_out)
+    mine = 0
+    for block in todo:
+        block()
+        mine += 1
+    # every block writes into out: all end before it is returned
+    for _ in range(len(blocks) - mine):
+        exc = helped.get()
+        if exc is not None:
+            raise exc
     return out
 
 

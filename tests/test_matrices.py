@@ -1,5 +1,6 @@
 import math
 import os
+import queue
 import signal
 import struct
 import threading
@@ -175,11 +176,17 @@ def split_everything(monkeypatch):
 def test_a_split_product_runs_on_the_pool_with_the_bits_of_one_call(
         split_everything, monkeypatch):
     threads = {}
+    another = threading.Event()
     block_products = matrices._block_products
 
     def recording(*args):
         def on_thread(i, block):
             threads[i] = threading.get_ident()
+            if len(threads) == 1:
+                # the first block taken waits until another thread takes one
+                assert another.wait(60.0), "no helper took a block"
+            elif threads[i] != next(iter(threads.values())):
+                another.set()
             block()
         return [partial(on_thread, i, b) for i, b in enumerate(block_products(*args))]
 
@@ -187,12 +194,33 @@ def test_a_split_product_runs_on_the_pool_with_the_bits_of_one_call(
     A = np.asfortranarray(rng.standard_normal((700, 160)))
     v, x = rng.standard_normal(700), rng.standard_normal(160)
     assert np.array_equal(matrices._dense_product(A, v, transposed=True), v @ A)
-    # three blocks of 64, 64 and 32 columns: the caller's thread computes
-    # the first, the pool the others
-    assert sorted(threads) == [0, 1, 2]
-    assert threads[0] == threading.get_ident()
-    assert threading.get_ident() not in (threads[1], threads[2])
+    # five blocks of 32 columns, each taken once, by the caller's thread and
+    # the pool's
+    assert sorted(threads) == [0, 1, 2, 3, 4]
+    assert threading.get_ident() in threads.values()
+    assert len(set(threads.values())) >= 2
     assert np.array_equal(matrices._dense_product(A, x), A @ x)
+
+
+def test_a_helper_that_does_not_start_leaves_its_blocks_to_the_caller(
+        split_everything, monkeypatch):
+    # the helpers' jobs wait in a queue no thread reads, as on a busy CPU
+    jobs = queue.SimpleQueue()
+    monkeypatch.setattr(matrices, "_JOBS", jobs)
+    monkeypatch.setattr(matrices, "_enough_helpers", lambda count: None)
+    A = np.asfortranarray(rng.standard_normal((1100, 97)))
+    v, x = rng.standard_normal(1100), rng.standard_normal(97)
+    ref = v @ A
+    got = matrices._dense_product(A, v, transposed=True)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(matrices._dense_product(A, x), A @ x)
+    # a job per other CPU and product; run late, it finds no block left
+    late = [jobs.get_nowait() for _ in range(jobs.qsize())]
+    assert len(late) == 4
+    got[:] = np.nan
+    for job in late:
+        job()
+    assert np.isnan(got).all()
 
 
 @pytest.mark.parametrize("shape, layout, one_thread", [
@@ -202,12 +230,11 @@ def test_a_split_product_runs_on_the_pool_with_the_bits_of_one_call(
 ])
 def test_a_product_that_is_not_split_starts_no_thread(monkeypatch, shape,
                                                       layout, one_thread):
-    class NoPool:
-        def submit(self, fn):
-            raise AssertionError("a block went to the pool")
+    def no_helpers(count):
+        raise AssertionError("a product asked for helpers")
 
     monkeypatch.setattr(matrices, "_MAY_SPLIT", one_thread)
-    monkeypatch.setattr(matrices, "_POOL", NoPool())
+    monkeypatch.setattr(matrices, "_enough_helpers", no_helpers)
     A = np.asarray(rng.standard_normal(shape), order=layout)
     assert (A.size < matrices._SPLIT_MIN_ENTRIES) == (shape == (2000, 100))
     v, x = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
@@ -215,17 +242,25 @@ def test_a_product_that_is_not_split_starts_no_thread(monkeypatch, shape,
     assert np.array_equal(matrices._dense_product(A, x), A @ x)
 
 
+def test_one_cpu_makes_the_single_call(split_everything, monkeypatch):
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(matrices, "_block_products", None)
+    A = np.asfortranarray(rng.standard_normal((300, 70)))
+    v = rng.standard_normal(300)
+    assert np.array_equal(matrices._dense_product(A, v, transposed=True), v @ A)
+
+
 def test_a_forked_child_splits_on_a_pool_of_its_own(split_everything):
     A = np.asfortranarray(rng.standard_normal((300, 70)))
     v = rng.standard_normal(300)
     ref = v @ A
     assert np.array_equal(matrices._dense_product(A, v, transposed=True), ref)
-    assert matrices._POOL is not None
+    assert matrices._HELPERS > 0
     pid = os.fork()
     if pid == 0:                         # the child never returns to pytest
         code = 1
         try:
-            if matrices._POOL is None:
+            if matrices._HELPERS == 0:
                 code = 0 if np.array_equal(
                     matrices._dense_product(A, v, transposed=True), ref) else 2
         finally:
