@@ -5,7 +5,9 @@ clean right-hand side b_clean = A x_hat, sparse corruption b_corrupt, dense
 bounded noise, and the observed b = b_clean + b_corrupt + noise.
 Generation is fully determined by the seed; random draws always happen in
 the fixed order: matrix entries, support, support values, corruption
-indices, corruption values, noise.
+indices, corruption values, noise.  Only the calling thread draws: for a
+large matrix a helper thread normalizes and stores the rows drawn (see
+`matrices._normalized_rows`), with the bytes of one thread doing it all.
 """
 
 import math
@@ -85,11 +87,11 @@ def generate_gaussian(spec):
     # Drawing row blocks in turn takes the same values from the stream as one
     # (m, n) draw.  Each block is normalized in place while it is row-major
     # and cache-resident, then copied into the column-major A, so A is
-    # written once and never read back.
-    A = np.empty((spec.m, spec.n), order="F")
-    for i in range(0, spec.m, _DRAW_BLOCK_ROWS):
-        block = rng.standard_normal((min(_DRAW_BLOCK_ROWS, spec.m - i), spec.n))
-        A[i:i + _DRAW_BLOCK_ROWS] = matrices.normalize_rows(block, out=block)
+    # written once and never read back; for a large A a helper thread does
+    # that while the next block is drawn.
+    A = matrices._normalized_rows(np.empty((spec.m, spec.n), order="F"),
+                                  lambda out: rng.standard_normal(out=out),
+                                  _DRAW_BLOCK_ROWS)
     support = np.sort(rng.choice(spec.n, size=spec.sparsity, replace=False))
     x_hat = np.zeros(spec.n)
     x_hat[support] = rng.standard_normal(spec.sparsity)

@@ -17,8 +17,15 @@ thread and one helper thread per other CPU take as they come free.  The
 blocks give the bits of the single BLAS call, so results depend neither on
 the CPU count nor on which thread computed a block.  Otherwise it makes
 that single call.
+
+`_normalized_rows` fills a new matrix with unit rows a block at a time
+from a serial draw, as instance generation does.  For a matrix of at least
+_SPLIT_MIN_ENTRIES entries, when the process may use more than one CPU, one
+of those helper threads normalizes and stores each block while the caller
+draws the next; the bytes are those of the caller doing it all.
 """
 
+import collections
 import contextlib
 import io
 import os
@@ -75,8 +82,8 @@ def _openblas_threads():
 # blocks on top of it would, so only a one-thread OpenBLAS gets the split,
 # where the OS tells which CPUs the process may use.
 _MAY_SPLIT = _openblas_threads() == 1 and hasattr(os, "sched_getaffinity")
-# Work for the helper threads of _dense_product, and their count; the
-# threads are started at the first split that needs them.
+# Work for the helper threads of _dense_product and _normalized_rows, and
+# their count; the threads are started at the first call that needs them.
 _JOBS = queue.SimpleQueue()
 _HELPERS = 0
 _HELPERS_LOCK = threading.Lock()
@@ -212,6 +219,74 @@ def _dense_product(A, vec, transposed=False):
         if exc is not None:
             raise exc
     return out
+
+
+def _normalized_rows(A, draw, rows):
+    """Fill A, of either layout, with unit rows, a block at a time: draw(out)
+    fills a row-major block of at most `rows` rows with the next rows, which
+    are normalized as normalize_rows does and stored into A.
+
+    When the process may use more than one CPU and A has at least
+    _SPLIT_MIN_ENTRIES entries, a helper thread normalizes and stores each
+    block while the caller draws the next into the other of two buffers;
+    otherwise the caller stores each block itself.  Only the caller draws,
+    in order, so A has the same bytes either way.  A ZeroRow names its row
+    of A.  An error is raised once no helper holds a block, and of several,
+    the first block's.
+    """
+    m, n = A.shape
+    overlap = (hasattr(os, "sched_getaffinity") and A.size >= _SPLIT_MIN_ENTRIES
+               and len(os.sched_getaffinity(0)) > 1)
+    # a buffer is drawn into again only once its last block is stored
+    ring = [np.empty((min(rows, m), n)) for _ in range(1 + overlap)]
+    handed = collections.deque()    # (store once, outcome) of each unsettled block
+    errors = []
+
+    def store(lo, block, outcome):
+        try:
+            A[lo:lo + block.shape[0]] = normalize_rows(block, out=block)
+        except ZeroRow as exc:
+            outcome.put(ZeroRow(lo + exc.index))
+        except BaseException as exc:
+            outcome.put(exc)
+        else:
+            outcome.put(None)
+
+    def take(once):
+        # next() on a list iterator runs under the GIL: a store runs once
+        for job in once:
+            job()
+
+    def settle():
+        # the oldest block: stored here unless a helper has taken it
+        once, outcome = handed.popleft()
+        take(once)
+        exc = outcome.get()
+        if exc is not None:
+            errors.append(exc)
+
+    if overlap:
+        _enough_helpers(1)
+    try:
+        for k, lo in enumerate(range(0, m, rows)):
+            block = ring[k % len(ring)][:m - lo]
+            draw(block)
+            outcome = queue.SimpleQueue()
+            once = iter([partial(store, lo, block, outcome)])
+            handed.append((once, outcome))
+            if overlap:
+                _JOBS.put(partial(take, once))
+            while len(handed) == len(ring):
+                settle()
+            if errors:
+                break
+    finally:
+        # every block taken ends before A is returned, or an error raised
+        while handed:
+            settle()
+        if errors:
+            raise errors[0]
+    return A
 
 
 def _block_products(A, vec, out, transposed, count):

@@ -23,10 +23,25 @@ def test_same_seed_is_bit_exact():
     assert np.array_equal(a.corruption_indices, b.corruption_indices)
 
 
-@pytest.mark.parametrize("m, n", [(100, 20), (600, 7), (257, 40), (3, 1)])
-def test_generated_matrix_is_column_major_and_bit_identical(m, n):
+def overlap_on(monkeypatch, cpus):
+    """Generation of any size stores its rows on a helper, as on `cpus` CPUs."""
+    monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+# serial: the shapes as drawn on one thread; overlapped: row counts at and
+# around the 256-row block, each stored on a helper as on 2 and 3 CPUs
+@pytest.mark.parametrize("m, n, cpus", [
+    *(pytest.param(m, n, None, id=f"{m}-{n}")
+      for m, n in [(100, 20), (600, 7), (257, 40), (3, 1)]),
+    *(pytest.param(m, 33, cpus, id=f"{m}-33-{cpus}cpus")
+      for cpus in (2, 3) for m in (1, 255, 256, 257, 600, 2049)),
+])
+def test_generated_matrix_is_column_major_and_bit_identical(monkeypatch, m, n, cpus):
     # the blockwise draw into a column-major A takes the same stream values
     # as one (m, n) draw and normalizes each row with the same sums
+    if cpus:
+        overlap_on(monkeypatch, cpus)
     inst = instances.generate_gaussian(make_spec(m=m, n=n, sparsity=1, seed=9))
     rng_ref = np.random.Generator(np.random.PCG64(9))
     ref = matrices.normalize_rows(rng_ref.standard_normal((m, n)))
@@ -35,6 +50,37 @@ def test_generated_matrix_is_column_major_and_bit_identical(m, n):
     # the later draws start where one (m, n) draw leaves the stream
     support = np.sort(rng_ref.choice(n, size=1, replace=False))
     assert np.flatnonzero(inst.x_hat).tolist() == support.tolist()
+
+
+def test_overlapped_generations_repeat_the_serial_bytes(monkeypatch):
+    # a buffer drawn into again before its rows are stored would change A,
+    # on some runs only
+    spec = make_spec(m=3000, n=200, sparsity=10, seed=4)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0})
+    ref = instances.generate_gaussian(spec)
+    overlap_on(monkeypatch, 2)
+    for _ in range(30):
+        inst = instances.generate_gaussian(spec)
+        assert inst.A.tobytes("A") == ref.A.tobytes("A")
+        assert inst.b_observed.tobytes() == ref.b_observed.tobytes()
+    assert matrices._HELPERS >= 1
+
+
+@pytest.mark.parametrize("shape, cpus", [((2000, 100), 2), ((3000, 400), 1)])
+def test_generation_below_the_threshold_or_on_one_cpu_asks_for_no_helper(
+        monkeypatch, shape, cpus):
+    def no_helpers(count):
+        raise AssertionError("generation asked for helpers")
+
+    monkeypatch.setattr(matrices, "_enough_helpers", no_helpers)
+    monkeypatch.setattr(matrices, "_JOBS", None)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    m, n = shape
+    assert (m * n >= matrices._SPLIT_MIN_ENTRIES) == (cpus == 1)
+    inst = instances.generate_gaussian(make_spec(m=m, n=n, seed=2))
+    ref = matrices.normalize_rows(
+        np.random.Generator(np.random.PCG64(2)).standard_normal((m, n)))
+    assert np.ascontiguousarray(inst.A).tobytes() == ref.tobytes()
 
 
 def test_clean_instance_observed_equals_clean():

@@ -275,6 +275,157 @@ def test_a_forked_child_splits_on_a_pool_of_its_own(split_everything):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
+# ------------------------------------------------- overlapped row normalization
+
+def draws_of(gen, zero_row=None):
+    """A draw callable for _normalized_rows: the generator's normals, in
+    order, with one row of the whole matrix zeroed."""
+    drawn = [0]
+
+    def draw(out):
+        gen.standard_normal(out=out)
+        if zero_row is not None and 0 <= zero_row - drawn[0] < out.shape[0]:
+            out[zero_row - drawn[0]] = 0.0
+        drawn[0] += out.shape[0]
+    return draw
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_normalized_rows_give_the_bits_of_one_draw(monkeypatch, cpus):
+    monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    A = np.empty((700, 30), order="F")
+    got = matrices._normalized_rows(A, draws_of(np.random.default_rng(5)), 256)
+    ref = matrices.normalize_rows(np.random.default_rng(5).standard_normal((700, 30)))
+    assert got is A
+    assert np.ascontiguousarray(A).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_zero_row_is_named_by_its_row_of_the_matrix(monkeypatch, cpus):
+    monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    A = np.empty((700, 30), order="F")
+    with pytest.raises(ZeroRow) as info:
+        matrices._normalized_rows(A, draws_of(rng, zero_row=300), 256)
+    assert info.value.index == 300       # row 44 of the second block
+
+
+@pytest.fixture
+def overlap_everything(monkeypatch):
+    """_normalized_rows hands every block to a helper, as on two CPUs."""
+    monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def watch_normalize(monkeypatch, hold):
+    """Wrap normalize_rows so that a helper thread calls hold(first entry of
+    its block) before it normalizes; returns (first entry, on the caller's
+    thread) of every call, appended as it ends."""
+    normalize = matrices.normalize_rows
+    caller = threading.get_ident()
+    ended = []
+
+    def normalize_rows(block, out=None):
+        first, here = block[0, 0], threading.get_ident() == caller
+        try:
+            if not here:
+                hold(first)
+            return normalize(block, out=out)
+        finally:
+            ended.append((first, here))
+
+    monkeypatch.setattr(matrices, "normalize_rows", normalize_rows)
+    return ended
+
+
+def wait_until(done, what):
+    deadline = time.monotonic() + 60.0
+    while not done():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
+
+
+def test_the_first_block_error_wins_once_every_taken_block_ended(
+        overlap_everything, monkeypatch):
+    matrices._enough_helpers(2)
+    taken = threading.Event()
+
+    def hold(first):
+        if first == 1.0:                 # block 0 ends after block 1 failed
+            taken.set()
+            wait_until(lambda: (2.0, False) in ended, "no helper took block 1")
+            time.sleep(0.05)
+
+    ended = watch_normalize(monkeypatch, hold)
+    blocks = iter([(1.0, 5), (2.0, 2)])  # blocks of ones and twos, a zero row each
+
+    def draw(out):
+        value, zero = next(blocks)
+        if value == 2.0:
+            assert taken.wait(60.0), "no helper took block 0"
+        out[:] = value
+        out[zero] = 0.0
+
+    with pytest.raises(ZeroRow) as info:
+        matrices._normalized_rows(np.empty((512, 4), order="F"), draw, 256)
+    assert info.value.index == 5         # not 258, which failed first
+    assert ended == [(2.0, False), (1.0, False)]
+
+
+@pytest.mark.parametrize("block_zero_fails", [False, True])
+def test_a_draw_that_raises_waits_for_the_block_before(overlap_everything,
+                                                      monkeypatch, block_zero_fails):
+    taken = threading.Event()
+    ended = watch_normalize(monkeypatch, lambda first: (taken.set(), time.sleep(0.05)))
+    A = np.full((512, 4), np.nan, order="F")
+    drawn = []
+
+    def draw(out):
+        if drawn:
+            # block 0 is on the helper, which holds it 50 ms
+            assert taken.wait(60.0), "no helper took block 0"
+            raise RuntimeError("draw failed")
+        out[:] = 2.0
+        if block_zero_fails:
+            out[3] = 0.0
+        drawn.append(out.shape[0])
+
+    with pytest.raises(ZeroRow if block_zero_fails else RuntimeError) as info:
+        matrices._normalized_rows(A, draw, 256)
+    assert ended == [(2.0, False)]       # block 0 ended on the helper first
+    if block_zero_fails:
+        assert info.value.index == 3     # the lower block's error wins
+        assert np.isnan(A).all()
+    else:
+        assert (A[:256] == 0.5).all()
+        assert np.isnan(A[256:]).all()
+
+
+def test_a_forked_child_normalizes_on_a_helper_of_its_own(overlap_everything):
+    ref = matrices._normalized_rows(np.empty((600, 20), order="F"),
+                                    draws_of(np.random.default_rng(3)), 256)
+    assert matrices._HELPERS > 0
+    pid = os.fork()
+    if pid == 0:                         # the child never returns to pytest
+        code = 1
+        try:
+            if matrices._HELPERS == 0:
+                got = matrices._normalized_rows(np.empty((600, 20), order="F"),
+                                                draws_of(np.random.default_rng(3)), 256)
+                code = 0 if np.array_equal(got, ref) and matrices._HELPERS == 1 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's normalization did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 @pytest.mark.parametrize("env, threads", [
     ({}, 0),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1),
