@@ -228,18 +228,20 @@ def _normalized_rows(A, draw, rows):
 
     When the process may use more than one CPU and A has at least
     _SPLIT_MIN_ENTRIES entries, a helper thread normalizes and stores each
-    block while the caller draws the next into the other of two buffers;
-    otherwise the caller stores each block itself.  Only the caller draws,
-    in order, so A has the same bytes either way.  A ZeroRow names its row
-    of A.  An error is raised once no helper holds a block, and of several,
-    the first block's.
+    block while the caller draws the next into the other of two buffers of
+    half that height; otherwise the caller stores each block itself.  Only
+    the caller draws, in order, so A has the same bytes either way.  A
+    ZeroRow names its row of A.  An error is raised once no helper holds a
+    block, and of several, the first block's.
     """
     m, n = A.shape
     overlap = (hasattr(os, "sched_getaffinity") and A.size >= _SPLIT_MIN_ENTRIES
                and len(os.sched_getaffinity(0)) > 1)
-    # a buffer is drawn into again only once its last block is stored
+    # two buffers of half the rows when overlapped, so a helper takes no
+    # more memory; a buffer is drawn into again only once its block is stored
+    rows = -(-rows // (1 + overlap))
     ring = [np.empty((min(rows, m), n)) for _ in range(1 + overlap)]
-    handed = collections.deque()    # (store once, outcome) of each unsettled block
+    handed = collections.deque()    # (store once, outcome) of unsettled blocks
     errors = []
 
     def store(lo, block, outcome):

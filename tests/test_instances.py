@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,12 +33,13 @@ def overlap_on(monkeypatch, cpus):
 
 
 # serial: the shapes as drawn on one thread; overlapped: row counts at and
-# around the 256-row block, each stored on a helper as on 2 and 3 CPUs
+# around the 256-row block and the 128-row half block, each stored on a
+# helper as on 2 and 3 CPUs
 @pytest.mark.parametrize("m, n, cpus", [
     *(pytest.param(m, n, None, id=f"{m}-{n}")
       for m, n in [(100, 20), (600, 7), (257, 40), (3, 1)]),
     *(pytest.param(m, 33, cpus, id=f"{m}-33-{cpus}cpus")
-      for cpus in (2, 3) for m in (1, 255, 256, 257, 600, 2049)),
+      for cpus in (2, 3) for m in (1, 128, 129, 255, 256, 257, 600, 2049)),
 ])
 def test_generated_matrix_is_column_major_and_bit_identical(monkeypatch, m, n, cpus):
     # the blockwise draw into a column-major A takes the same stream values
@@ -54,16 +58,21 @@ def test_generated_matrix_is_column_major_and_bit_identical(monkeypatch, m, n, c
 
 def test_overlapped_generations_repeat_the_serial_bytes(monkeypatch):
     # a buffer drawn into again before its rows are stored would change A,
-    # on some runs only
+    # on some runs only; more helpers than cores, switching threads often
     spec = make_spec(m=3000, n=200, sparsity=10, seed=4)
     monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0})
     ref = instances.generate_gaussian(spec)
     overlap_on(monkeypatch, 2)
-    for _ in range(30):
-        inst = instances.generate_gaussian(spec)
-        assert inst.A.tobytes("A") == ref.A.tobytes("A")
-        assert inst.b_observed.tobytes() == ref.b_observed.tobytes()
-    assert matrices._HELPERS >= 1
+    matrices._enough_helpers(os.cpu_count() + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(30):
+            inst = instances.generate_gaussian(spec)
+            assert inst.A.tobytes("A") == ref.A.tobytes("A")
+            assert inst.b_observed.tobytes() == ref.b_observed.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("shape, cpus", [((2000, 100), 2), ((3000, 400), 1)])

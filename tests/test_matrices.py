@@ -308,7 +308,7 @@ def test_a_zero_row_is_named_by_its_row_of_the_matrix(monkeypatch, cpus):
     A = np.empty((700, 30), order="F")
     with pytest.raises(ZeroRow) as info:
         matrices._normalized_rows(A, draws_of(rng, zero_row=300), 256)
-    assert info.value.index == 300       # row 44 of the second block
+    assert info.value.index == 300       # not its row within its block
 
 
 @pytest.fixture
@@ -369,7 +369,7 @@ def test_the_first_block_error_wins_once_every_taken_block_ended(
 
     with pytest.raises(ZeroRow) as info:
         matrices._normalized_rows(np.empty((512, 4), order="F"), draw, 256)
-    assert info.value.index == 5         # not 258, which failed first
+    assert info.value.index == 5         # not 130, which failed first
     assert ended == [(2.0, False), (1.0, False)]
 
 
@@ -398,8 +398,8 @@ def test_a_draw_that_raises_waits_for_the_block_before(overlap_everything,
         assert info.value.index == 3     # the lower block's error wins
         assert np.isnan(A).all()
     else:
-        assert (A[:256] == 0.5).all()
-        assert np.isnan(A[256:]).all()
+        assert (A[:128] == 0.5).all()       # the first half block
+        assert np.isnan(A[128:]).all()
 
 
 def test_a_forked_child_normalizes_on_a_helper_of_its_own(overlap_everything):
