@@ -278,7 +278,7 @@ def _normalized_rows(A, draw, rows):
             handed.append((once, outcome))
             if overlap:
                 _JOBS.put(partial(take, once))
-            while len(handed) == len(ring):
+            if len(handed) == len(ring):
                 settle()
             if errors:
                 break
