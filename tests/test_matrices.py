@@ -291,17 +291,6 @@ def draws_of(gen, zero_row=None):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_normalized_rows_give_the_bits_of_one_draw(monkeypatch, cpus):
-    monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
-    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    A = np.empty((700, 30), order="F")
-    got = matrices._normalized_rows(A, draws_of(np.random.default_rng(5)), 256)
-    ref = matrices.normalize_rows(np.random.default_rng(5).standard_normal((700, 30)))
-    assert got is A
-    assert np.ascontiguousarray(A).tobytes() == ref.tobytes()
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
 def test_a_zero_row_is_named_by_its_row_of_the_matrix(monkeypatch, cpus):
     monkeypatch.setattr(matrices, "_SPLIT_MIN_ENTRIES", 0)
     monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -398,7 +387,7 @@ def test_a_draw_that_raises_waits_for_the_block_before(overlap_everything,
         assert info.value.index == 3     # the lower block's error wins
         assert np.isnan(A).all()
     else:
-        assert (A[:128] == 0.5).all()       # the first half block
+        assert (A[:128] == 0.5).all()    # the first half block
         assert np.isnan(A[128:]).all()
 
 
