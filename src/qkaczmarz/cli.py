@@ -274,7 +274,10 @@ def cmd_solve(args, parser):
     )
     start = time.perf_counter()
     if args.trials > 1:
-        trace = solvers.median_of_trials(lambda j: inst, config, args.trials)
+        # a block method draws no rows: its trials on one instance are one run
+        block = METHOD_TABLE[args.method][0] == "averaged-block"
+        trace = solvers.median_of_trials(lambda j: inst, config,
+                                         1 if block else args.trials)
     else:
         _, trace = solvers.run(inst, config)
     wall = time.perf_counter() - start

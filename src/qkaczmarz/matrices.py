@@ -27,7 +27,6 @@ draws the next; the bytes are those of the caller doing it all.
 
 import collections
 import contextlib
-import io
 import os
 import queue
 import re
@@ -317,10 +316,10 @@ def _block_bounds(length, count):
 # A minimal reader/writer for the real-valued subset of the format:
 # coordinate and array layouts, general and symmetric symmetry.  Hand-rolled
 # (rather than delegating to scipy.io) so parse failures can report exact
-# line numbers and so output precision is under our control.  The body of an
-# array file without a comment after its size line (mm_write writes such
-# files) goes to numpy's C text parser in one call; a coordinate file, and
-# any body that parser refuses or reads as another shape, goes line by
+# line numbers and so output precision is under our control.  numpy's C
+# text parser takes the body of an array file from the open file a line at
+# a time, so no copy of the whole text is made.  A coordinate body, and one
+# that parser refuses or reads as another shape, is read whole and line by
 # line, so an error still names its line.
 # ---------------------------------------------------------------------------
 
@@ -358,18 +357,19 @@ def mm_write(path, obj):
     else:
         raise DimensionMismatch(f"cannot write array of ndim {obj.ndim}")
     m, n = body.shape
-    line = FMT + "\n"
+    column = (FMT + "\n") * m
     with write_atomic(path) as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
         # Array format lists entries column by column; formatting one column
-        # at a time keeps only that column's text in memory.
+        # at a time, with one %, keeps only that column's text in memory.
         for j in range(n):
-            fh.write("".join([line % v for v in body[:, j].tolist()]))
+            fh.write(column % tuple(body[:, j].tolist()))
 
 
 def mm_read(path):
     """Read a Matrix Market file into a column-major matrix; m-by-1 arrays
-    come back as 1-D vectors."""
+    come back as 1-D vectors.  Only a coordinate body, and an array body
+    that numpy's parser refuses, are read into memory whole."""
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -389,26 +389,27 @@ def mm_read(path):
         if symmetry not in ("general", "symmetric"):
             raise UnsupportedField(f"symmetry {symmetry!r} is not supported")
 
-        # the size line is the first line that is neither blank nor a comment
-        size_lineno = 1
-        for size_lineno, size_line in enumerate(fh, start=2):
+        # the size line is the first line that is neither blank nor a
+        # comment; read by readline, so fh.tell() can mark the body's start
+        size_lineno, sizes = 1, []
+        while not sizes or sizes[0].startswith("%"):
+            size_line = fh.readline()
+            if not size_line:
+                raise ParseError(size_lineno, "missing size line")
+            size_lineno += 1
             sizes = size_line.split()
-            if sizes and not sizes[0].startswith("%"):
-                break
-        else:
-            raise ParseError(size_lineno, "missing size line")
-        body = fh.read()
 
-    if layout == "array":
-        m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
-        expected = m * n if symmetry == "general" else m * (m + 1) // 2
-        # numpy's C parser, else line by line
-        values = _c_parsed(body, expected)
-        lines = _entries(body, size_lineno, expected) if values is None else ()
-    else:
-        m, n, nnz = _dims(sizes, 3, size_lineno,
-                          "coordinate size line must be 'm n nnz'")
-        lines = _entries(body, size_lineno, nnz)
+        if layout == "array":
+            m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
+            expected = m * n if symmetry == "general" else m * (m + 1) // 2
+            # numpy's C parser, else line by line
+            values = _c_parsed(fh, expected)
+            lines = () if values is not None else _entries(
+                fh.read(), size_lineno, expected)
+        else:
+            m, n, nnz = _dims(sizes, 3, size_lineno,
+                              "coordinate size line must be 'm n nnz'")
+            lines = _entries(fh.read(), size_lineno, nnz)
     # either layout checks the entry count before the shape, the values after
     if symmetry == "symmetric" and m != n:
         raise ParseError(size_lineno, "symmetric matrix must be square")
@@ -472,18 +473,24 @@ def _entries(body, size_lineno, expected):
     return entries
 
 
-def _c_parsed(body, count):
-    """The body's values from numpy's C parser if it is count lines of one
-    number each, between blank lines only; None otherwise.  A comment line
-    (or a `%` anywhere) is left to the line-by-line reader, as is a blank
-    body, on which np.loadtxt warns."""
-    if "%" in body or not body.strip():
+def _c_parsed(fh, count):
+    """The values of the rest of the text file fh from numpy's C parser, which
+    takes it a line at a time, if it is count lines of one number each,
+    between blank lines only; otherwise None, with fh back where it was.
+    That parser refuses a `%` anywhere, so a comment line is left to the
+    line-by-line reader, as is a blank rest, on which np.loadtxt warns, and
+    the rest of a pipe, which cannot be read twice."""
+    if not fh.seekable():
         return None
-    try:
-        values = np.loadtxt(io.StringIO(body), dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values[:, 0] if values.shape == (count, 1) else None
+    start = fh.tell()
+    if any(map(str.strip, iter(fh.readline, ""))):  # up to the first entry
+        fh.seek(start)
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            if values.shape == (count, 1):
+                return values[:, 0]
+    fh.seek(start)
+    return None
 
 
 def _parse_value(txt, lineno):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkaczmarz import cli, instances
+from qkaczmarz import cli, instances, solvers
 
 
 def run_cli(argv):
@@ -156,6 +156,32 @@ def test_solve_trials_median(tmp_path):
     assert code == 0
     rels = column(tmp_path / "med.csv", "rel_error")
     assert len(rels) == 1 and float(rels[0]) > 0
+
+
+@pytest.mark.parametrize("method, runs", [("quantile-raska", 1),
+                                          ("quantile-rka", 1),
+                                          ("quantile-rask", 4)])
+def test_solve_trials_of_a_block_method_run_once(tmp_path, monkeypatch, method,
+                                                 runs):
+    # a block method draws no rows, so its 4 trials on one instance are one
+    # run: the trace CSV keeps the bytes of the 4-trial median
+    argv = solve_args(tmp_path, ["--method", method, "--iters", "30",
+                                 "--trace-every", "5", "--trials", "4"])
+    real_run, real_median = solvers.run, solvers.median_of_trials
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "run", counted)
+    assert run_cli(argv + ["--trace", str(tmp_path / "once.csv")]) == 0
+    assert len(calls) == runs
+    monkeypatch.setattr(solvers, "median_of_trials",
+                        lambda inst, config, trials: real_median(inst, config, 4))
+    assert run_cli(argv + ["--trace", str(tmp_path / "four.csv")]) == 0
+    assert len(calls) == runs + 4
+    assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", ["0", "-4"])

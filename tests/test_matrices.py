@@ -5,6 +5,7 @@ import signal
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -707,3 +708,115 @@ def test_mm_read_of_a_blank_body_warns_nothing(tmp_path, size, body, shape):
                 matrices.mm_read(path)
         else:
             assert matrices.mm_read(path).shape == shape
+
+
+def test_mm_read_and_mm_write_make_no_copy_of_the_whole_text(tmp_path):
+    # the text of a 2000 x 100 A.mtx is 4.2 MB, 17 MB as a str of 4-byte
+    # characters: the reader streams it and the writer formats a column at
+    # a time
+    A = np.asfortranarray(np.random.default_rng(3).standard_normal((2000, 100)))
+    path = tmp_path / "A.mtx"
+    tracemalloc.start()
+    try:
+        matrices.mm_write(path, A)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got = matrices.mm_read(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, A)
+    assert write_peak < 1e6
+    assert read_peak < 2 * A.nbytes
+
+
+@pytest.fixture(scope="module")
+def long_file_lines(tmp_path_factory):
+    # 90 000 entries: a body longer than one chunk of numpy's parser
+    A = np.random.default_rng(9).standard_normal((300, 300))
+    path = tmp_path_factory.mktemp("long") / "A.mtx"
+    matrices.mm_write(path, A)
+    return A, path.read_text().splitlines()
+
+
+def _write_lines(path, lines, newline):
+    path.write_bytes(newline.join(lines + [""]).encode())
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_mm_read_of_a_long_body_names_a_bad_last_line(tmp_path, long_file_lines,
+                                                      newline):
+    _, lines = long_file_lines
+    path = tmp_path / "bad.mtx"
+    _write_lines(path, lines[:-1] + ["1.0x"], newline)
+    with pytest.raises(ParseError) as exc:
+        matrices.mm_read(path)
+    assert str(exc.value) == "line 90002: bad numeric value '1.0x'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_mm_read_of_a_long_body_with_a_late_comment_reads_it_line_by_line(
+        tmp_path, monkeypatch, long_file_lines, newline):
+    A, lines = long_file_lines
+    path = tmp_path / "note.mtx"
+    # the header, the size line and 80 000 entries, then the comment
+    _write_lines(path, lines[:80002] + ["% note"] + lines[80002:], newline)
+    seen = []
+
+    def line_by_line(txt, lineno):
+        seen.append(lineno)
+        return float(txt)
+
+    monkeypatch.setattr(matrices, "_parse_value", line_by_line)
+    got = matrices.mm_read(path)
+    assert got.tobytes() == A.tobytes() and got.flags.f_contiguous
+    assert len(seen) == A.size and seen[80000] == 80004
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_mm_read_takes_a_pipe_line_by_line(tmp_path):
+    # a pipe cannot be read twice, so its body goes line by line
+    path = tmp_path / "a.mtx"
+    matrices.mm_write(path, np.arange(6.0).reshape(3, 2))
+    r, w = os.pipe()
+    os.write(w, path.read_bytes())  # less than a pipe holds
+    os.close(w)
+    try:
+        got = matrices.mm_read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert np.array_equal(got, matrices.mm_read(path))
+
+
+def _written_one_value_at_a_time(obj):
+    # the rule mm_write followed with one % per value
+    body = obj[:, None] if obj.ndim == 1 else obj
+    m, n = body.shape
+    text = f"%%MatrixMarket matrix array real general\n{m} {n}\n"
+    text += "".join(["%.17g\n" % v for j in range(n) for v in body[:, j].tolist()])
+    return text.encode()
+
+
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1]
+
+
+@pytest.mark.parametrize("shape, values", [
+    ((1, 10), "edge"), ((10, 1), "edge"), ((10,), "edge"), ((0, 4), "edge"),
+    ((4, 0), "edge"), ((7, 5), "edge"), ((30, 20), "bits"), ((1, 1), "bits"),
+], ids=["1xn", "mx1", "vector", "0xn", "mx0", "mxn", "random-bits", "1x1"])
+def test_mm_write_writes_the_bytes_of_one_percent_per_value(tmp_path, shape,
+                                                            values):
+    size = math.prod(shape)
+    if values == "edge":
+        obj = np.resize(np.array(_EDGE_VALUES), size).reshape(shape)
+    else:
+        # every 64-bit pattern, nan payloads and subnormals among them
+        bits = np.random.default_rng(size).integers(0, 2**64, size, dtype=np.uint64,
+                                                    endpoint=False)
+        obj = bits.view(float).reshape(shape)
+    path = tmp_path / "a.mtx"
+    matrices.mm_write(path, obj)
+    assert path.read_bytes() == _written_one_value_at_a_time(obj)
+    matrices.mm_write(path, np.asfortranarray(obj))
+    assert path.read_bytes() == _written_one_value_at_a_time(obj)
