@@ -317,10 +317,10 @@ def _block_bounds(length, count):
 # coordinate and array layouts, general and symmetric symmetry.  Hand-rolled
 # (rather than delegating to scipy.io) so parse failures can report exact
 # line numbers and so output precision is under our control.  numpy's C
-# text parser takes the body of an array file from the open file a line at
-# a time, so no copy of the whole text is made.  A coordinate body, and one
-# that parser refuses or reads as another shape, is read whole and line by
-# line, so an error still names its line.
+# reader takes the body of either layout again by the file's name, in
+# chunks, so no copy of the whole text is made.  A body it refuses, or reads
+# as another shape or as entries that overlap or leave the matrix, is read
+# whole and line by line, so an error still names its line.
 # ---------------------------------------------------------------------------
 
 # How the package writes a float as text: enough digits to read it back exactly.
@@ -368,8 +368,8 @@ def mm_write(path, obj):
 
 def mm_read(path):
     """Read a Matrix Market file into a column-major matrix; m-by-1 arrays
-    come back as 1-D vectors.  Only a coordinate body, and an array body
-    that numpy's parser refuses, are read into memory whole."""
+    come back as 1-D vectors.  Only a body that numpy's reader refuses is
+    read into memory whole."""
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -402,14 +402,16 @@ def mm_read(path):
         if layout == "array":
             m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
             expected = m * n if symmetry == "general" else m * (m + 1) // 2
-            # numpy's C parser, else line by line
-            values = _c_parsed(fh, expected)
-            lines = () if values is not None else _entries(
-                fh.read(), size_lineno, expected)
+            values = _c_parsed(fh, size_lineno, expected, float)
         else:
-            m, n, nnz = _dims(sizes, 3, size_lineno,
-                              "coordinate size line must be 'm n nnz'")
-            lines = _entries(fh.read(), size_lineno, nnz)
+            m, n, expected = _dims(sizes, 3, size_lineno,
+                                   "coordinate size line must be 'm n nnz'")
+            values = _c_parsed(fh, size_lineno, expected, "i8,i8,f8")
+            if values is not None:
+                values = _scattered(values, m, n, symmetry == "symmetric")
+        # numpy's C reader, else line by line
+        lines = () if values is not None else _entries(
+            fh.read(), size_lineno, expected)
     # either layout checks the entry count before the shape, the values after
     if symmetry == "symmetric" and m != n:
         raise ParseError(size_lineno, "symmetric matrix must be square")
@@ -427,7 +429,7 @@ def mm_read(path):
             out[i, j] = values
             out[j, i] = values
     else:
-        out = np.zeros((m, n), order="F")
+        out = values if values is not None else np.zeros((m, n), order="F")
         for lineno, txt in lines:
             parts = txt.split()
             if len(parts) != 3:
@@ -473,24 +475,42 @@ def _entries(body, size_lineno, expected):
     return entries
 
 
-def _c_parsed(fh, count):
-    """The values of the rest of the text file fh from numpy's C parser, which
-    takes it a line at a time, if it is count lines of one number each,
-    between blank lines only; otherwise None, with fh back where it was.
-    That parser refuses a `%` anywhere, so a comment line is left to the
-    line-by-line reader, as is a blank rest, on which np.loadtxt warns, and
-    the rest of a pipe, which cannot be read twice."""
-    if not fh.seekable():
+def _c_parsed(fh, skip, count, dtype):
+    """The entries after the first `skip` lines of the text file fh, read by
+    name by numpy's chunked C reader, if they are count lines of one dtype
+    value each between blank lines; otherwise None, with fh back where it
+    was.  A comment line (that reader refuses `%`), a blank rest (np.loadtxt
+    warns), a pipe, a name np.loadtxt decompresses and a name now given to
+    another file are left to the line-by-line reader."""
+    if not (fh.seekable() and isinstance(fh.name, str)) or \
+            fh.name.endswith((".gz", ".bz2", ".xz", ".lzma")):
         return None
-    start = fh.tell()
+    start, values = fh.tell(), None
     if any(map(str.strip, iter(fh.readline, ""))):  # up to the first entry
-        fh.seek(start)
-        with contextlib.suppress(ValueError):
-            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-            if values.shape == (count, 1):
-                return values[:, 0]
+        path = os.path.abspath(fh.name)
+        with contextlib.suppress(ValueError, OSError):
+            parsed = np.loadtxt(path, dtype=dtype, comments=None, ndmin=2,
+                                skiprows=skip)
+            if parsed.shape == (count, 1) and os.path.samestat(
+                    os.fstat(fh.fileno()), os.stat(path)):
+                values = parsed[:, 0]
     fh.seek(start)
-    return None
+    return values
+
+
+def _scattered(entries, m, n, symmetric):
+    """The column-major m x n matrix of coordinate entries, if each lies in
+    it and no two write one cell, counting a symmetric file's mirrors;
+    otherwise None, and the line-by-line reader decides."""
+    i, j, v = entries["f0"] - 1, entries["f1"] - 1, entries["f2"]
+    if symmetric:  # and the mirror of every entry off the diagonal
+        i, j, v = [np.r_[a, b[i != j]] for a, b in ((i, j), (j, i), (v, v))]
+    inside = np.all((0 <= i) & (i < m) & (0 <= j) & (j < n))
+    if not (inside and np.all(np.diff(np.sort(i + j * m)))):
+        return None
+    out = np.zeros((m, n), order="F")
+    out[i, j] = v
+    return out
 
 
 def _parse_value(txt, lineno):
