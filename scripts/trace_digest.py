@@ -28,10 +28,9 @@ line names, it gives the same bytes.
 journey in a temporary directory (generate; solve with every method, with
 --trials, with --stop-tol and with a --config file that one flag overrides;
 sampled spectral, and exact spectral on an 8x3 bundle; every experiment
-preset, qbeta-grid also on two threads, realdata on the generated bundle,
+preset, qbeta-grid also on two threads, realdata on the generated bundle and
 again on a copy whose A.mtx has comment lines after its size line, which
-Matrix Market readers take line by line, and a third time on a copy of A.mtx
-and xhat.mtx in the coordinate layout) and prints, per command, its exit
+Matrix Market readers take line by line) and prints, per command, its exit
 code and the sha256 of its stdout and stderr with `wall_s` values stripped,
 then the sha256 of every file the journey wrote.  Point PYTHONPATH at another
 checkout's src to digest its CLI with the same journey:
@@ -40,8 +39,8 @@ checkout's src to digest its CLI with the same journey:
     PYTHONPATH=src python3 scripts/trace_digest.py --cli > new.txt
     diff old.txt new.txt
 
-It exits 1 if a command's exit code is not the expected one, or if a
-realdata run on a copy writes files that differ from the first run's.
+It exits 1 if a command's exit code is not the expected one, or if the two
+realdata runs write files that differ.
 """
 
 import contextlib
@@ -115,6 +114,14 @@ JOURNEY = (
        ("experiment realdata", ["experiment", "realdata", "--matrix", "bundle/A.mtx",
                                 "--xhat", "bundle/xhat.mtx", "--out", "exp/rd"], 0)]
 )
+# realdata again, after the journey, on the files of COMMENTED: the paths
+# relative to --out are those of the first run, so its files, `# cmd:` line
+# included, must have the same bytes
+COMMENTED = "commented"
+REALDATA_COMMENTED = (
+    "experiment realdata, comments after the size line",
+    ["experiment", "realdata", "--matrix", f"{COMMENTED}/bundle/A.mtx",
+     "--xhat", f"{COMMENTED}/bundle/xhat.mtx", "--out", f"{COMMENTED}/exp/rd"], 0)
 
 
 def digest(*arrays):
@@ -159,34 +166,6 @@ def copy_with_comments(src, dst):
         fh.writelines(lines)
 
 
-def copy_as_coordinate(src, dst):
-    """Copy a Matrix Market array file as mm_write writes it (general, no
-    comments) as a coordinate file of its nonzero entries, row by row, with
-    the values' text unchanged."""
-    with open(src) as fh:
-        lines = fh.read().split("\n")
-    m, n = map(int, lines[1].split())
-    tokens = lines[2:2 + m * n]
-    entries = [f"{i + 1} {j + 1} {tokens[j * m + i]}\n" for i in range(m)
-               for j in range(n) if float(tokens[j * m + i]) != 0.0]
-    os.makedirs(os.path.dirname(dst), exist_ok=True)
-    with open(dst, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n"
-                 f"{m} {n} {len(entries)}\n")
-        fh.writelines(entries)
-
-
-# realdata again, after the journey, on copies of the bundle's A.mtx and
-# xhat.mtx: (directory, command name, copier).  The paths relative to --out
-# are those of the first run, so its files, `# cmd:` line included, must have
-# the same bytes
-REALDATA_COPIES = (
-    ("commented", "experiment realdata, comments after the size line",
-     copy_with_comments),
-    ("coordinate", "experiment realdata, coordinate layout", copy_as_coordinate),
-)
-
-
 def run_command(name, argv):
     """Run one CLI command in process, print its digest line and return its
     exit code."""
@@ -201,8 +180,8 @@ def run_command(name, argv):
 
 
 def cli_journey():
-    """Run JOURNEY, then realdata on each of REALDATA_COPIES, in a temporary
-    directory; returns what failed."""
+    """Run JOURNEY, then REALDATA_COMMENTED, in a temporary directory;
+    returns what failed."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -211,15 +190,12 @@ def cli_journey():
                 fh.write(CONFIG)
             failed = [name for name, argv, expected in JOURNEY
                       if run_command(name, argv) != expected]
-            for copy, name, copier in REALDATA_COPIES:
-                for fname in ("A.mtx", "xhat.mtx"):
-                    copier(os.path.join("bundle", fname),
-                           os.path.join(copy, "bundle", fname))
-                argv = ["experiment", "realdata",
-                        "--matrix", f"{copy}/bundle/A.mtx",
-                        "--xhat", f"{copy}/bundle/xhat.mtx", "--out", f"{copy}/exp/rd"]
-                if run_command(name, argv) != 0:
-                    failed.append(name)
+            for fname in ("A.mtx", "xhat.mtx"):
+                copy_with_comments(os.path.join("bundle", fname),
+                                   os.path.join(COMMENTED, "bundle", fname))
+            name, argv, expected = REALDATA_COMMENTED
+            if run_command(name, argv) != expected:
+                failed.append(name)
             digests = {}
             for root, dirs, files in os.walk("."):
                 dirs.sort()
@@ -229,11 +205,9 @@ def cli_journey():
                         digests[path] = text_digest(fh.read())
                     print(f"file {path} {digests[path]}")
             for path, value in digests.items():
-                if os.path.dirname(path) != os.path.join("exp", "rd"):
-                    continue
-                for copy, name, _ in REALDATA_COPIES:
-                    if digests.get(os.path.join(copy, path)) != value:
-                        failed.append(f"{name}: {path} differs")
+                if os.path.dirname(path) == os.path.join("exp", "rd") and \
+                        digests.get(os.path.join(COMMENTED, path)) != value:
+                    failed.append(f"{name}: {path} differs")
         finally:
             os.chdir(home)
     return failed

@@ -317,10 +317,10 @@ def _block_bounds(length, count):
 # coordinate and array layouts, general and symmetric symmetry.  Hand-rolled
 # (rather than delegating to scipy.io) so parse failures can report exact
 # line numbers and so output precision is under our control.  numpy's C
-# reader takes the body of either layout again by the file's name, in
-# chunks, so no copy of the whole text is made.  A body it refuses, or reads
-# as another shape or as entries that overlap or leave the matrix, is read
-# whole and line by line, so an error still names its line.
+# reader takes the body of an array file again by the file's name, in
+# chunks, so no copy of the whole text is made.  A coordinate body, and one
+# that reader refuses or reads as another shape, is read whole and line by
+# line, so an error still names its line.
 # ---------------------------------------------------------------------------
 
 # How the package writes a float as text: enough digits to read it back exactly.
@@ -368,8 +368,8 @@ def mm_write(path, obj):
 
 def mm_read(path):
     """Read a Matrix Market file into a column-major matrix; m-by-1 arrays
-    come back as 1-D vectors.  Only a body that numpy's reader refuses is
-    read into memory whole."""
+    come back as 1-D vectors.  Only a coordinate body, and an array body
+    that numpy's reader refuses, are read into memory whole."""
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -402,16 +402,14 @@ def mm_read(path):
         if layout == "array":
             m, n = _dims(sizes, 2, size_lineno, "array size line must be 'm n'")
             expected = m * n if symmetry == "general" else m * (m + 1) // 2
-            values = _c_parsed(fh, size_lineno, expected, float)
+            # numpy's C reader, else line by line
+            values = _c_parsed(fh, size_lineno, expected)
+            lines = () if values is not None else _entries(
+                fh.read(), size_lineno, expected)
         else:
-            m, n, expected = _dims(sizes, 3, size_lineno,
-                                   "coordinate size line must be 'm n nnz'")
-            values = _c_parsed(fh, size_lineno, expected, "i8,i8,f8")
-            if values is not None:
-                values = _scattered(values, m, n, symmetry == "symmetric")
-        # numpy's C reader, else line by line
-        lines = () if values is not None else _entries(
-            fh.read(), size_lineno, expected)
+            m, n, nnz = _dims(sizes, 3, size_lineno,
+                              "coordinate size line must be 'm n nnz'")
+            lines = _entries(fh.read(), size_lineno, nnz)
     # either layout checks the entry count before the shape, the values after
     if symmetry == "symmetric" and m != n:
         raise ParseError(size_lineno, "symmetric matrix must be square")
@@ -429,7 +427,7 @@ def mm_read(path):
             out[i, j] = values
             out[j, i] = values
     else:
-        out = values if values is not None else np.zeros((m, n), order="F")
+        out = np.zeros((m, n), order="F")
         for lineno, txt in lines:
             parts = txt.split()
             if len(parts) != 3:
@@ -475,11 +473,11 @@ def _entries(body, size_lineno, expected):
     return entries
 
 
-def _c_parsed(fh, skip, count, dtype):
-    """The entries after the first `skip` lines of the text file fh, read by
-    name by numpy's chunked C reader, if they are count lines of one dtype
-    value each between blank lines; otherwise None, with fh back where it
-    was.  A comment line (that reader refuses `%`), a blank rest (np.loadtxt
+def _c_parsed(fh, skip, count):
+    """The values after the first `skip` lines of the text file fh, read by
+    name by numpy's chunked C reader, if they are count lines of one number
+    each between blank lines; otherwise None, with fh back where it was.
+    A comment line (that reader refuses `%`), a blank rest (np.loadtxt
     warns), a pipe, a name np.loadtxt decompresses and a name now given to
     another file are left to the line-by-line reader."""
     if not (fh.seekable() and isinstance(fh.name, str)) or \
@@ -489,28 +487,13 @@ def _c_parsed(fh, skip, count, dtype):
     if any(map(str.strip, iter(fh.readline, ""))):  # up to the first entry
         path = os.path.abspath(fh.name)
         with contextlib.suppress(ValueError, OSError):
-            parsed = np.loadtxt(path, dtype=dtype, comments=None, ndmin=2,
+            parsed = np.loadtxt(path, dtype=float, comments=None, ndmin=2,
                                 skiprows=skip)
             if parsed.shape == (count, 1) and os.path.samestat(
                     os.fstat(fh.fileno()), os.stat(path)):
                 values = parsed[:, 0]
     fh.seek(start)
     return values
-
-
-def _scattered(entries, m, n, symmetric):
-    """The column-major m x n matrix of coordinate entries, if each lies in
-    it and no two write one cell, counting a symmetric file's mirrors;
-    otherwise None, and the line-by-line reader decides."""
-    i, j, v = entries["f0"] - 1, entries["f1"] - 1, entries["f2"]
-    if symmetric:  # and the mirror of every entry off the diagonal
-        i, j, v = [np.r_[a, b[i != j]] for a, b in ((i, j), (j, i), (v, v))]
-    inside = np.all((0 <= i) & (i < m) & (0 <= j) & (j < n))
-    if not (inside and np.all(np.diff(np.sort(i + j * m)))):
-        return None
-    out = np.zeros((m, n), order="F")
-    out[i, j] = v
-    return out
 
 
 def _parse_value(txt, lineno):

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import queue
@@ -835,58 +834,28 @@ def _outcome(path):
     return out.shape, out.tobytes(), out.flags.f_contiguous
 
 
-@contextlib.contextmanager
-def _swapped(name, value):
-    # monkeypatch for a hypothesis test, which may not take that fixture
-    old = getattr(matrices, name)
-    setattr(matrices, name, value)
-    try:
-        yield
-    finally:
-        setattr(matrices, name, old)
+def _write_array(path, seed):
+    matrices.mm_write(path, np.random.default_rng(seed).standard_normal((6, 3)))
 
 
-def _line_by_line(path):
-    """_outcome of path with numpy's reader out of the way."""
-    with _swapped("_c_parsed", lambda *args: None):
-        return _outcome(path)
-
-
-def _loadtxt_names(monkeypatch):
-    """The names np.loadtxt is called with, from now on."""
+def test_mm_read_takes_a_str_a_path_and_a_relative_name_through_numpys_reader(
+        tmp_path, monkeypatch):
+    path = tmp_path / "a.mtx"
+    _write_array(path, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_c_parsed", lambda *args: None)
+        expected = _outcome(path)
     names, loadtxt = [], np.loadtxt
 
     def recorded(fname, *args, **kwargs):
         names.append(fname)
         return loadtxt(fname, *args, **kwargs)
 
+    def refused(txt, lineno):
+        raise AssertionError(f"line {lineno} was read line by line")
+
     monkeypatch.setattr(np, "loadtxt", recorded)
-    return names
-
-
-def _refused(txt, lineno):
-    raise AssertionError(f"line {lineno} was read line by line")
-
-
-_COORDINATE_FILE = ("%%MatrixMarket matrix coordinate real general\n3 2 4\n"
-                    "1 1 0.5\n3 2 -2.25\n2 1 1e-3\n1 2 7\n")
-
-
-def _write_layout(path, layout, seed):
-    if layout == "array":
-        matrices.mm_write(path, np.random.default_rng(seed).standard_normal((6, 3)))
-    else:
-        path.write_text(_COORDINATE_FILE.replace("-2.25", f"{seed}.5"))
-
-
-@pytest.mark.parametrize("layout", ["array", "coordinate"])
-def test_mm_read_takes_a_str_a_path_and_a_relative_name_through_numpys_reader(
-        tmp_path, monkeypatch, layout):
-    path = tmp_path / "a.mtx"
-    _write_layout(path, layout, 1)
-    expected = _line_by_line(path)
-    names = _loadtxt_names(monkeypatch)
-    monkeypatch.setattr(matrices, "_parse_value", _refused)
+    monkeypatch.setattr(matrices, "_parse_value", refused)
     monkeypatch.chdir(tmp_path)
     for name in (path, str(path), "a.mtx"):
         assert _outcome(name) == expected
@@ -895,22 +864,20 @@ def test_mm_read_takes_a_str_a_path_and_a_relative_name_through_numpys_reader(
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-@pytest.mark.parametrize("layout", ["array", "coordinate"])
 def test_mm_read_takes_a_text_file_named_like_a_compressed_one_as_text(
-        tmp_path, layout, suffix):
+        tmp_path, suffix):
     # np.loadtxt opens a name with such a suffix through gzip, bz2 or lzma
     plain, named = tmp_path / "a.mtx", tmp_path / f"a.mtx{suffix}"
-    _write_layout(plain, layout, 2)
+    _write_array(plain, 2)
     named.write_bytes(plain.read_bytes())
     assert _outcome(named) == _outcome(plain)
 
 
-@pytest.mark.parametrize("layout", ["array", "coordinate"])
 def test_mm_read_keeps_the_file_it_opened_when_its_name_goes_to_another(
-        tmp_path, monkeypatch, layout):
+        tmp_path, monkeypatch):
     path, other = tmp_path / "a.mtx", tmp_path / "b.mtx"
-    _write_layout(path, layout, 3)
-    _write_layout(other, layout, 4)
+    _write_array(path, 3)
+    _write_array(other, 4)
     expected = _outcome(path)
     assert _outcome(other) != expected
     loadtxt, moved = np.loadtxt, []
@@ -926,148 +893,9 @@ def test_mm_read_keeps_the_file_it_opened_when_its_name_goes_to_another(
     assert moved == [str(path)]
 
 
-@pytest.mark.parametrize("symmetry, body, dense", [
-    ("general", "2 2 3\n1 2 1.0\n2 1 2.0\n1 2 3.0\n", [[0, 3], [2, 0]]),
-    ("symmetric", "2 2 3\n2 1 1.0\n1 1 5.0\n1 2 4.0\n", [[5, 4], [4, 0]]),
-    ("symmetric", "2 2 2\n1 2 4.0\n2 1 1.0\n", [[0, 1], [1, 0]]),
-    ("symmetric", "2 2 2\n2 2 4.0\n2 2 1.0\n", [[0, 0], [0, 1]]),
-], ids=["repeated-cell", "later-entry-over-a-mirror", "mirror-over-an-entry",
-        "repeated-diagonal"])
-def test_mm_read_of_coordinate_entries_on_one_cell_keeps_the_last(
-        tmp_path, monkeypatch, symmetry, body, dense):
-    path = tmp_path / "a.mtx"
-    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n{body}")
-    expected = _line_by_line(path)
-    names = _loadtxt_names(monkeypatch)
-    assert _outcome(path) == expected
-    assert names == [str(path)]
-    assert np.array_equal(matrices.mm_read(path), dense)
-
-
-@pytest.mark.parametrize("entry, message", [
-    ("3 1 1.0", "coordinates out of range"),
-    ("1 0 1.0", "coordinates out of range"),
-    ("-0 1 1.0", "coordinates out of range"),
-    ("1.0 1 1.0", "non-integer coordinates"),
-    ("1_0 1 1.0", "coordinates out of range"),
-    ("٣ 1 1.0", "coordinates out of range"),
-    ("12345678901234567890 1 1.0", "coordinates out of range"),
-    ("1 1 1.0x", "bad numeric value '1.0x'"),
-    ("1 1", "coordinate entry must be 'i j value'"),
-    ("1 1 1.0 2.0", "coordinate entry must be 'i j value'"),
-], ids=["row-past-m", "column-zero", "minus-zero", "float-index", "underscore",
-        "arabic-indic-digit", "twenty-digits", "bad-value", "two-fields",
-        "four-fields"])
-def test_mm_read_refuses_a_coordinate_entry_as_the_line_by_line_reader_does(
-        tmp_path, entry, message):
-    # int() takes `1_0` and `٣` (as 10 and 3), numpy's reader does not
+@pytest.mark.parametrize("index", ["1.5", "1.0", "1e0"])
+def test_mm_read_refuses_a_non_integral_coordinate(tmp_path, index):
     path = tmp_path / "a.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"
-                    f"2 2 2\n1 2 0.5\n{entry}\n")
-    assert _outcome(path) == (4, f"line 4: {message}") == _line_by_line(path)
-
-
-def test_mm_read_of_coordinate_tokens_only_python_takes(tmp_path):
-    path = tmp_path / "a.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n"
-                    "12 1 3\n1_0 1 1_5\n٣ 1 ٢\n+01 1 2.5\n")
-    assert _outcome(path) == _line_by_line(path)
-    assert matrices.mm_read(path)[[0, 2, 9]].tolist() == [2.5, 2.0, 15.0]
-
-
-@pytest.mark.parametrize("size, body", [
-    ("3 2 0", ""), ("3 2 0", "\n  \n"), ("0 0 0", ""), ("2 1 0", "\n")])
-def test_mm_read_of_an_empty_coordinate_body_warns_nothing(tmp_path, size, body):
-    path = tmp_path / "a.mtx"
-    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n{body}")
-    m, n, _ = map(int, size.split())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = matrices.mm_read(path)
-    assert out.shape == ((m,) if n == 1 else (m, n)) and not out.any()
-
-
-@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
-def test_mm_read_takes_a_clean_coordinate_file_through_numpys_reader(
-        tmp_path, monkeypatch, symmetry):
-    M = np.random.default_rng(6).standard_normal((7, 7)).tolist()
-    cells = [(i, j) for i in range(7) for j in range(7)
-             if (i + 2 * j) % 3 and (symmetry == "general" or i >= j)]
-    body = "".join(f"{i + 1} {j + 1} {M[i][j]!r}\n" for i, j in cells)
-    path = tmp_path / "a.mtx"
-    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
-                    f"% a comment before the size line\n7 7 {len(cells)}\n{body}")
-    expected = _line_by_line(path)
-    monkeypatch.setattr(matrices, "_parse_value", _refused)
-    assert _outcome(path) == expected
-    dense = np.zeros((7, 7))
-    for i, j in cells:
-        dense[i, j] = M[i][j]
-        if symmetry == "symmetric":
-            dense[j, i] = M[i][j]
-    assert np.array_equal(matrices.mm_read(path), dense)
-
-
-def test_mm_read_of_a_coordinate_file_makes_no_copy_of_the_whole_text(tmp_path):
-    # 100 000 entries of a 2000 x 100 matrix, 2.7 MB of text, 11 MB as a str
-    gen = np.random.default_rng(8)
-    cells = gen.choice(200_000, 100_000, replace=False)
-    values = gen.standard_normal(100_000)
-    path = tmp_path / "C.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n2000 100 100000\n"
-                    + "".join(f"{c % 2000 + 1} {c // 2000 + 1} {v!r}\n"
-                              for c, v in zip(cells.tolist(), values.tolist())))
-    dense = np.zeros(200_000)
-    dense[cells] = values
-    tracemalloc.start()
-    try:
-        got = matrices.mm_read(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.tobytes() == dense.reshape(100, 2000).T.tobytes()
-    assert peak < 8e6
-
-
-_INDEX = st.one_of(st.integers(-1, 5).map(str),
-                   st.sampled_from(["1.0", "1_0", "٣", "+2", "01", "1e0",
-                                    "12345678901234567890"]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    m=st.integers(0, 4),
-    n=st.integers(0, 4),
-    symmetric=st.booleans(),
-    clean=st.booleans(),
-    data=st.data(),
-    newline=st.sampled_from(["\n", "\r\n"]),
-)
-def test_mm_read_of_a_coordinate_body_matches_the_line_by_line_reader(
-        tmp_path_factory, m, n, symmetric, clean, data, newline):
-    # a clean body, of distinct cells inside the matrix between blank lines,
-    # takes numpy's reader; any other one may not
-    if clean:
-        cells = st.tuples(st.integers(1, max(m, 1)), st.integers(1, max(n, 1)))
-        unique_by = (lambda c: tuple(sorted(c))) if symmetric else (lambda c: c)
-        cells = data.draw(st.lists(cells, max_size=6, unique_by=unique_by))
-        entries = [(str(i), str(j), data.draw(_TOKENS)) for i, j in cells]
-        extra = ["", "  ", "\t"]
-    else:
-        entries = data.draw(st.lists(st.tuples(_INDEX, _INDEX, _TOKENS), max_size=6))
-        extra = ["", "% note"]
-    lines = [f"{i} {j} {v}" for i, j, v in entries]
-    for _ in range(data.draw(st.integers(0, 2))):
-        lines.insert(data.draw(st.integers(0, len(lines))),
-                     data.draw(st.sampled_from(extra)))
-    nnz = len(entries) + (0 if clean else data.draw(st.sampled_from([0, -1, 1])))
-    head = [f"%%MatrixMarket matrix coordinate real "
-            f"{'symmetric' if symmetric else 'general'}", f"{m} {n} {max(nnz, 0)}"]
-    path = tmp_path_factory.mktemp("mm") / "c.mtx"
-    path.write_bytes(newline.join(head + lines + [""]).encode())
-    expected = _line_by_line(path)
-    if clean and entries and m and n and (m == n or not symmetric):
-        with _swapped("_parse_value", _refused):
-            assert _outcome(path) == expected
-    else:
-        assert _outcome(path) == expected
+                    f"2 2 2\n1 2 0.5\n{index} 1 1.0\n")
+    assert _outcome(path) == (4, "line 4: non-integer coordinates")
