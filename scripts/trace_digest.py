@@ -1,23 +1,25 @@
 """Digest the traces and final iterates of seeded solver runs.
 
 First prints one line naming what the bits depend on: the numpy version,
-the BLAS library and version, and the OPENBLAS_CORETYPE and
-OPENBLAS_NUM_THREADS settings.  Then one line per case: shape, seed, method
-and the sha256 of the instance's A and b, of every trace column but
-`elapsed`, and of the final x and x*.  Run it on two checkouts and compare
+the BLAS library and version, the OPENBLAS_CORETYPE setting, and whether
+importing qkaczmarz held OpenBLAS at one thread (`blas_threads=held`) or
+found no thread setter and left the library's own count
+(`blas_threads=library`).  Then one line per case: shape, seed, method and
+the sha256 of the instance's A and b, of every trace column but `elapsed`,
+and of the final x and x*.  Run it on two checkouts and compare
 the outputs to check that a change keeps every bit of the solvers' results:
 
     PYTHONPATH=src python3 scripts/trace_digest.py > new.txt
     (cd ../parent && PYTHONPATH=src python3 scripts/trace_digest.py) > old.txt
     diff old.txt new.txt
 
-Give both runs one BLAS thread (OPENBLAS_NUM_THREADS=1): a threaded v @ A
-may sum in another order, and the 10000x500 block traces then differ.
-OpenBLAS rounds differently per CPU kernel, so the reference outputs
-committed beside this script, trace_digest_full.txt and
-trace_digest_quick_cli.txt, are made under a named one and regenerated with
+The bits do not depend on OPENBLAS_NUM_THREADS, since importing qkaczmarz
+sets the process's OpenBLAS to one thread.  OpenBLAS rounds differently
+per CPU kernel, so the reference outputs committed beside this script,
+trace_digest_full.txt and trace_digest_quick_cli.txt, are made under a
+named one and regenerated with
 
-    export OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src
+    export OPENBLAS_CORETYPE=Haswell PYTHONPATH=src
     python3 scripts/trace_digest.py > scripts/trace_digest_full.txt
     python3 scripts/trace_digest.py --quick --cli > scripts/trace_digest_quick_cli.txt
 
@@ -32,8 +34,12 @@ preset, qbeta-grid also on two threads, realdata on the generated bundle and
 again on a copy whose A.mtx has comment lines after its size line, which
 Matrix Market readers take line by line) and prints, per command, its exit
 code and the sha256 of its stdout and stderr with `wall_s` values stripped,
-then the sha256 of every file the journey wrote.  Point PYTHONPATH at another
-checkout's src to digest its CLI with the same journey:
+then the sha256 of every file the journey wrote.  Before each realdata
+command's line it prints the sha256 of the A and x_hat that
+`instances.from_files` returned: realdata builds b from A x_hat, so a
+reader that negated every value would write the same files.  Point
+PYTHONPATH at another checkout's src to digest its CLI with the same
+journey:
 
     PYTHONPATH=../parent/src python3 scripts/trace_digest.py --cli > old.txt
     PYTHONPATH=src python3 scripts/trace_digest.py --cli > new.txt
@@ -53,7 +59,7 @@ import tempfile
 
 import numpy as np
 
-from qkaczmarz import cli, instances, solvers
+from qkaczmarz import cli, instances, matrices, solvers
 
 # (m, n, s) -> iterations per method; q = 0.7, lambda = 1, every record kept
 SHAPES = {
@@ -182,9 +188,18 @@ def run_command(name, argv):
 def cli_journey():
     """Run JOURNEY, then REALDATA_COMMENTED, in a temporary directory;
     returns what failed."""
-    home = os.getcwd()
+    home, stdout, from_files = os.getcwd(), sys.stdout, instances.from_files
+
+    def loading(matrix_path, *args, **kwargs):
+        # printed past run_command's capture, before the command's own line
+        inst = from_files(matrix_path, *args, **kwargs)
+        print(f"from_files {matrix_path}: A={digest(inst.A)} "
+              f"x_hat={digest(inst.x_hat)}", file=stdout, flush=True)
+        return inst
+
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
+        instances.from_files = loading
         try:
             with open("run.cfg", "w") as fh:
                 fh.write(CONFIG)
@@ -209,16 +224,20 @@ def cli_journey():
                         digests.get(os.path.join(COMMENTED, path)) != value:
                     failed.append(f"{name}: {path} differs")
         finally:
+            instances.from_files = from_files
             os.chdir(home)
     return failed
 
 
 def versions():
-    """The numpy and BLAS versions and the OpenBLAS settings of this run."""
+    """The numpy and BLAS versions, the OpenBLAS kernel setting and the BLAS
+    thread mode of this run."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    settings = " ".join(f"{name}={os.environ.get(name, 'unset')}"
-                        for name in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS"))
-    return f"numpy={np.__version__} blas={blas['name']} {blas['version']} {settings}"
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
+    # setting one thread again changes nothing; it tells whether a setter exists
+    threads = "held" if matrices._one_openblas_thread() else "library"
+    return (f"numpy={np.__version__} blas={blas['name']} {blas['version']} "
+            f"OPENBLAS_CORETYPE={coretype} blas_threads={threads}")
 
 
 def main(argv):

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config/IO error, 2 solve finished without
 reaching --stop-tol.  Every command honours --seed, so repeated invocations
-are byte-identical for one numpy/OpenBLAS version, OpenBLAS kernel and BLAS
-thread count; trace timings are zeroed in files unless --timings is given
+are byte-identical for one numpy/OpenBLAS version and OpenBLAS kernel;
+trace timings are zeroed in files unless --timings is given
 (wall time goes to stdout).  Every file is written beside its target and
 moved into place.
 """

@@ -10,13 +10,13 @@ immutable afterwards.
 
 The two dense m x n products of an iteration, the full A @ x of
 `support_residuals` and the averaged-block update A.T @ v, go through
-`_dense_product`.  When OpenBLAS runs one thread and a column-major A has
-at least _SPLIT_MIN_ENTRIES entries, it cuts the rows (columns) into
-_BLOCKS_PER_CPU blocks per CPU the process may use, which the caller's
-thread and one helper thread per other CPU take as they come free.  The
-blocks give the bits of the single BLAS call, so results depend neither on
-the CPU count nor on which thread computed a block.  Otherwise it makes
-that single call.
+`_dense_product`.  Importing this module sets the loaded OpenBLAS to one
+thread.  A column-major A of at least _SPLIT_MIN_ENTRIES entries is then
+cut into _BLOCKS_PER_CPU blocks of rows (columns) per CPU the process may
+use, which the caller's thread and one helper per other CPU take as they
+come free, with the bits of the single call: results depend on neither the
+CPU count nor OpenBLAS's starting thread count.  Otherwise, or with no
+OpenBLAS thread setter, it makes the single call.
 
 `_normalized_rows` fills a new matrix with unit rows a block at a time
 from a serial draw, as instance generation does.  For a matrix of at least
@@ -27,9 +27,9 @@ draws the next; the bytes are those of the caller doing it all.
 
 import collections
 import contextlib
+import ctypes
 import os
 import queue
-import re
 import threading
 from functools import partial
 
@@ -51,9 +51,8 @@ _NORM_BLOCK_ROWS = 256
 # Columns support_residuals gathers at a time, so its temporaries stay at
 # m * _SUPPORT_CHUNK floats.
 _SUPPORT_CHUNK = 16
-# Entries of A from which _dense_product splits.  On a 2-vCPU Xeon at one
-# BLAS thread the split A @ x broke even at 5e5 entries; at 1e6 both
-# products took 20-30% less time, and at 2e5 (2000 x 100) 60-70% more.
+# Entries of A from which _dense_product splits.  On a 2-vCPU Xeon the split
+# A @ x broke even at 5e5; at 1e6 both took 20-30% less, at 2e5 60-70% more.
 _SPLIT_MIN_ENTRIES = 2**20
 # _dense_product cuts at multiples of this many rows or columns, and no
 # block is narrower: OpenBLAS then sums every entry as one call does.  A cut
@@ -65,22 +64,28 @@ _SPLIT_ALIGN = 32
 _BLOCKS_PER_CPU = 4
 
 
-def _openblas_threads():
-    """The thread count OpenBLAS takes from the environment when it loads:
-    the leading integer of OPENBLAS_NUM_THREADS, else of GOTO_NUM_THREADS,
-    else of OMP_NUM_THREADS, the first that is positive; 0 for none, which
-    OpenBLAS reads as one thread per CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        lead = re.match(r"\s*[-+]?\d+", os.environ.get(name, ""))
-        if lead and int(lead.group()) > 0:
-            return int(lead.group())
-    return 0
+def _one_openblas_thread(maps="/proc/self/maps"):
+    """Set each OpenBLAS that the memory map file `maps` names to one thread;
+    whether one exported a thread setter."""
+    try:
+        with open(maps) as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return False
+    found = False
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:     # not a library, or deleted since it was loaded
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                found = True
+    return found
 
 
-# A threaded OpenBLAS already spreads one call over the cores, faster than
-# blocks on top of it would, so only a one-thread OpenBLAS gets the split,
-# where the OS tells which CPUs the process may use.
-_MAY_SPLIT = _openblas_threads() == 1 and hasattr(os, "sched_getaffinity")
+_MAY_SPLIT = _one_openblas_thread() and hasattr(os, "sched_getaffinity")
 # Work for the helper threads of _dense_product and _normalized_rows, and
 # their count; the threads are started at the first call that needs them.
 _JOBS = queue.SimpleQueue()
@@ -151,8 +156,7 @@ def support_residuals(A, x, b):
 
     While 4 |supp x| <= n only those columns are read, _SUPPORT_CHUNK at a
     time: O(m |supp x|) work, contiguous when A is column-major.  Otherwise
-    it is the full A @ x - b, from `_dense_product`: on every CPU for a large
-    A at one BLAS thread, with the bits of one call.  b may be a scalar.  No
+    it is the full A @ x - b, from `_dense_product`.  b may be a scalar.  No
     validation: this is the solvers' per-iteration path.
     """
     S = x.nonzero()[0]
@@ -174,14 +178,11 @@ def _dense_product(A, vec, transposed=False):
     """A @ vec, or A.T @ vec when transposed (the bits of vec @ A), with the
     bits of that one BLAS call.
 
-    When OpenBLAS runs one thread, the process may use more than one CPU
-    and a column-major A has at least _SPLIT_MIN_ENTRIES entries, the
-    product is cut into _BLOCKS_PER_CPU blocks per CPU.  The caller's thread
-    and one helper per other CPU each take the next block not yet taken
-    until none is left, so a helper that starts late, or runs on a slower
-    CPU, computes fewer blocks instead of holding up the result.  Otherwise
-    it makes that one call and starts no thread.  (A row-major A is not
-    split: its blocks of A.T @ v round differently.)
+    When OpenBLAS is held at one thread, the process may use more than one
+    CPU and a column-major A has at least _SPLIT_MIN_ENTRIES entries, the
+    product is cut into _BLOCKS_PER_CPU blocks per CPU, each taken by the
+    caller or one helper per other CPU as it comes free; otherwise one call,
+    and no thread.  (A row-major A's blocks of A.T @ v round differently.)
     """
     cpus = 1
     if _MAY_SPLIT and A.size >= _SPLIT_MIN_ENTRIES and A.flags.f_contiguous:

@@ -10,12 +10,11 @@ the averaged-block step returns a solved state unchanged, marked converged.
 
 Row index sampling uses rejection sampling on 64-bit words from a seeded
 PCG64 stream, so identical (instance, config, seed) runs draw the same rows.
-Traces repeat bit for bit for one numpy/OpenBLAS version, OpenBLAS kernel
-and BLAS thread count: kernels round differently, and a threaded OpenBLAS
-may sum the block update in another order.  At one BLAS thread they do not
-depend on the CPU count: the residual's full A @ x and the block update's
-A.T @ v then run in blocks on every CPU the process may use, with the bits
-of one call (`matrices._dense_product`).
+Traces repeat bit for bit for one numpy/OpenBLAS version and OpenBLAS
+kernel, whatever the CPU or OpenBLAS thread count: importing the package
+sets OpenBLAS to one thread, and the residual's full A @ x and the block
+update's A.T @ v run in blocks on every CPU the process may use, with the
+bits of one call (`matrices._dense_product`).
 """
 
 import math

@@ -3,6 +3,8 @@ import os
 import queue
 import signal
 import struct
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -227,7 +229,7 @@ def test_a_helper_that_does_not_start_leaves_its_blocks_to_the_caller(
 @pytest.mark.parametrize("shape, layout, one_thread", [
     ((2000, 100), "F", True),            # desk scale, below the threshold
     ((1100, 1000), "C", True),           # above it, but row-major
-    ((1100, 1000), "F", False),          # above it, but a threaded OpenBLAS
+    ((1100, 1000), "F", False),          # above it, but no OpenBLAS thread setter
 ])
 def test_a_product_that_is_not_split_starts_no_thread(monkeypatch, shape,
                                                       layout, one_thread):
@@ -416,21 +418,73 @@ def test_a_forked_child_normalizes_on_a_helper_of_its_own(overlap_everything):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-@pytest.mark.parametrize("env, threads", [
-    ({}, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": " 2,1"}, 2),
-    ({"GOTO_NUM_THREADS": "-3", "OMP_NUM_THREADS": "1x"}, 1),
-])
-def test_openblas_threads_reads_the_environment_as_openblas_does(monkeypatch,
-                                                                 env, threads):
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert matrices._openblas_threads() == threads
+def _run_python(code, threads):
+    """The stdout of `code` run by a new interpreter on this checkout, with
+    OPENBLAS_NUM_THREADS set to `threads`, or unset for None."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = os.path.dirname(os.path.dirname(matrices.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_BLOCK_SOLVE = """
+import hashlib
+from qkaczmarz import instances, solvers
+inst = instances.generate_gaussian(instances.GeneratorSpec(
+    m=10000, n=500, sparsity=40, beta=0.2, corruption_scale=100.0,
+    noise_bound=0.02, seed=1))
+state, _ = solvers.run(inst, solvers.SolverConfig(
+    method="averaged-block", quantile_q=0.7, stepsize="1.5n", max_iters=3, seed=1))
+print(hashlib.sha256(state.x_star.tobytes()).hexdigest())
+"""
+
+
+def test_a_paper_width_block_solve_has_the_same_bits_at_any_blas_thread_setting():
+    # a threaded OpenBLAS sums A.T @ v in another order than one thread does
+    digests = {threads: _run_python(_BLOCK_SOLVE, threads) for threads in ("1", "2", None)}
+    assert len(set(digests.values())) == 1, digests
+
+
+_GET_THREADS = """
+import ctypes
+import qkaczmarz
+for line in open("/proc/self/maps"):
+    if "libscipy_openblas64_" in line:
+        lib = ctypes.CDLL(line.split(None, 5)[5].strip())
+        print(lib.scipy_openblas_get_num_threads64_())
+        break
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc")
+def test_importing_the_package_holds_openblas_at_one_thread():
+    got = _run_python(_GET_THREADS, None)
+    if not got:
+        pytest.skip("numpy does not load the scipy-openblas64 library")
+    assert got.split() == ["1"]
+
+
+def test_a_maps_text_that_names_no_openblas_finds_no_thread_setter(tmp_path):
+    maps = tmp_path / "maps"
+    maps.write_text("00400000-0040b000 r-xp 00000000 08:01 1050  /usr/bin/python3\n"
+                    "7ffd4a000000-7ffd4a021000 rw-p 00000000 00:00 0  [stack]\n"
+                    "7f0000000000-7f0000001000 rw-p 00000000 00:00 0\n"
+                    # a library file replaced since it was loaded is not opened
+                    "7f0000002000-7f0000003000 r-xp 00000000 08:01 1051  "
+                    f"{tmp_path}/libopenblas.so (deleted)\n"
+                    # nor is a mapped file that is no library
+                    "7f0000004000-7f0000005000 r--p 00000000 08:01 1052  "
+                    f"{tmp_path}/openblas.txt\n")
+    (tmp_path / "openblas.txt").write_text("not a library\n")
+    assert matrices._one_openblas_thread(str(maps)) is False
+    # no /proc: nothing to read
+    assert matrices._one_openblas_thread(str(tmp_path / "missing")) is False
 
 
 def test_row_norms_do_not_depend_on_layout():
