@@ -13,19 +13,19 @@ The two dense m x n products of an iteration, the full A @ x of
 `_dense_product`.  Importing this module sets the loaded OpenBLAS to one
 thread.  A column-major A of at least _SPLIT_MIN_ENTRIES entries is then
 cut into _BLOCKS_PER_CPU blocks of rows (columns) per CPU the process may
-use, which the caller's thread and one helper per other CPU take as they
-come free, with the bits of the single call: results depend on neither the
-CPU count nor OpenBLAS's starting thread count.  Otherwise, or with no
-OpenBLAS thread setter, it makes the single call.
+use, with the bits of the single call: results depend on neither the CPU
+count nor OpenBLAS's starting thread count.  Otherwise, or with no OpenBLAS
+thread setter, it makes the single call.  `_normalized_rows` fills a new
+matrix with unit rows a block at a time from a serial draw; on more than
+one CPU, a helper stores each block of a large one while the caller draws
+the next, with the bytes of the caller doing it all.
 
-`_normalized_rows` fills a new matrix with unit rows a block at a time
-from a serial draw, as instance generation does.  For a matrix of at least
-_SPLIT_MIN_ENTRIES entries, when the process may use more than one CPU, one
-of those helper threads normalizes and stores each block while the caller
-draws the next; the bytes are those of the caller doing it all.
+Both hand their blocks out through `_hand_out`: each runs once, on the
+caller or on the helper thread (one per other CPU) that takes it first; the
+caller runs those no helper took, and the first block's error is raised
+once all have ended.
 """
 
-import collections
 import contextlib
 import ctypes
 import os
@@ -86,24 +86,25 @@ def _one_openblas_thread(maps="/proc/self/maps"):
 
 
 _MAY_SPLIT = _one_openblas_thread() and hasattr(os, "sched_getaffinity")
-# Work for the helper threads of _dense_product and _normalized_rows, and
-# their count; the threads are started at the first call that needs them.
+# Work for the helper threads, which only _hand_out gives, and their count;
+# the threads are started at the first hand-out that needs them.
 _JOBS = queue.SimpleQueue()
 _HELPERS = 0
 _HELPERS_LOCK = threading.Lock()
 
 
-def _help():
-    # a helper thread's life: the next job, forever; the jobs catch errors
+def _help(jobs):
+    # a helper's life: the next job of the queue it was started for, forever
     while True:
-        _JOBS.get()()
+        jobs.get()()
 
 
 def _enough_helpers(count):
     global _HELPERS
     with _HELPERS_LOCK:
         while _HELPERS < count:
-            threading.Thread(target=_help, name="qkaczmarz-block", daemon=True).start()
+            threading.Thread(target=_help, args=(_JOBS,), name="qkaczmarz-block",
+                             daemon=True).start()
             _HELPERS += 1
 
 
@@ -115,6 +116,38 @@ def _forget_helpers():
 
 
 os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _hand_out(jobs, helpers):
+    """Offer the callables `jobs` to `helpers` helper threads and return
+    finish(), which runs on the caller every job no helper has taken, waits
+    until every job has ended, and returns the error of the first job that
+    raised, in the order of jobs, or None.  Each job runs once."""
+    # next() on it runs under the GIL: each job is taken once
+    todo = enumerate(jobs)
+    errors = [None] * len(jobs)
+    ended = queue.SimpleQueue()
+
+    def work():
+        # a helper that starts after finish() has returned finds no job
+        for i, job in todo:
+            try:
+                job()
+            except BaseException as exc:
+                errors[i] = exc
+            ended.put(None)
+
+    if helpers:
+        _enough_helpers(helpers)
+        for _ in range(helpers):
+            _JOBS.put(work)
+
+    def finish():
+        work()
+        for _ in jobs:
+            ended.get()
+        return next(filter(None, errors), None)
+    return finish
 
 
 def normalize_rows(A, out=None):
@@ -191,33 +224,9 @@ def _dense_product(A, vec, transposed=False):
         return vec @ A if transposed else A @ vec
     out = np.empty(A.shape[1] if transposed else A.shape[0])
     blocks = _block_products(A, vec, out, transposed, _BLOCKS_PER_CPU * cpus)
-    # next() on a list iterator runs under the GIL: each block is taken once
-    todo = iter(blocks)
-    helped = queue.SimpleQueue()
-
-    def help_out():
-        # a helper that starts after the caller has returned finds no block
-        for block in todo:
-            try:
-                block()
-            except BaseException as exc:
-                helped.put(exc)
-            else:
-                helped.put(None)
-
-    helpers = min(cpus, len(blocks)) - 1
-    _enough_helpers(helpers)
-    for _ in range(helpers):
-        _JOBS.put(help_out)
-    mine = 0
-    for block in todo:
-        block()
-        mine += 1
     # every block writes into out: all end before it is returned
-    for _ in range(len(blocks) - mine):
-        exc = helped.get()
-        if exc is not None:
-            raise exc
+    if exc := _hand_out(blocks, min(cpus, len(blocks)) - 1)():
+        raise exc
     return out
 
 
@@ -230,9 +239,9 @@ def _normalized_rows(A, draw, rows):
     _SPLIT_MIN_ENTRIES entries, a helper thread normalizes and stores each
     block while the caller draws the next into the other of two buffers of
     half that height; otherwise the caller stores each block itself.  Only
-    the caller draws, in order, so A has the same bytes either way.  A
-    ZeroRow names its row of A.  An error is raised once no helper holds a
-    block, and of several, the first block's.
+    the caller draws, in order, so A has the same bytes either way.  An
+    error is that of the first block that failed, or the draw's; a ZeroRow
+    names its row of A.
     """
     m, n = A.shape
     overlap = (hasattr(os, "sched_getaffinity") and A.size >= _SPLIT_MIN_ENTRIES
@@ -241,53 +250,28 @@ def _normalized_rows(A, draw, rows):
     # more memory; a buffer is drawn into again only once its block is stored
     rows = -(-rows // (1 + overlap))
     ring = [np.empty((min(rows, m), n)) for _ in range(1 + overlap)]
-    handed = collections.deque()    # (store once, outcome) of unsettled blocks
-    errors = []
+    handed = []     # finish() of each block not yet settled, oldest first
+    first = None    # the error of the first block that failed, once settled
 
-    def store(lo, block, outcome):
+    def store(lo, block):
         try:
             A[lo:lo + block.shape[0]] = normalize_rows(block, out=block)
         except ZeroRow as exc:
-            outcome.put(ZeroRow(lo + exc.index))
-        except BaseException as exc:
-            outcome.put(exc)
-        else:
-            outcome.put(None)
+            raise ZeroRow(lo + exc.index) from None
 
-    def take(once):
-        # next() on a list iterator runs under the GIL: a store runs once
-        for job in once:
-            job()
-
-    def settle():
-        # the oldest block: stored here unless a helper has taken it
-        once, outcome = handed.popleft()
-        take(once)
-        exc = outcome.get()
-        if exc is not None:
-            errors.append(exc)
-
-    if overlap:
-        _enough_helpers(1)
     try:
         for k, lo in enumerate(range(0, m, rows)):
             block = ring[k % len(ring)][:m - lo]
             draw(block)
-            outcome = queue.SimpleQueue()
-            once = iter([partial(store, lo, block, outcome)])
-            handed.append((once, outcome))
-            if overlap:
-                _JOBS.put(partial(take, once))
-            if len(handed) == len(ring):
-                settle()
-            if errors:
+            handed.append(_hand_out([partial(store, lo, block)], overlap))
+            # the oldest block: stored here unless a helper has taken it
+            if len(handed) == len(ring) and (first := handed.pop(0)()):
                 break
     finally:
         # every block taken ends before A is returned, or an error raised
-        while handed:
-            settle()
-        if errors:
-            raise errors[0]
+        errors = [first] + [finish() for finish in handed]
+        if any(errors):
+            raise next(filter(None, errors))
     return A
 
 

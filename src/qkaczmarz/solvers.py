@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bregman, matrices, quantiles, theory
-from .errors import ConfigInvalid, Diverged, EmptyAcceptableSet, MissingGroundTruth
+from .errors import (ConfigInvalid, Diverged, EmptyAcceptableSet, MissingGroundTruth,
+                     ZeroGroundTruth)
 
 METHODS = ("single-row-inexact", "single-row-exact", "averaged-block")
 
@@ -232,7 +233,8 @@ def run(instance, config, record_bregman=True):
 
     Stops at max_iters or once the state is converged: the averaged-block
     step marks it so when all residuals are zero, and run when the relative
-    error reaches stop_tol (needs x_hat).  Raises Diverged as soon as the
+    error reaches stop_tol (needs x_hat).  Raises ZeroGroundTruth before the
+    first iteration if x_hat is given and zero, and Diverged as soon as the
     iterate, or a relative error or Bregman distance it records, is not
     finite; the overflow on the way there is reported by that error alone,
     not by numpy warnings.  The trace records every trace_every-th
@@ -245,6 +247,8 @@ def run(instance, config, record_bregman=True):
         raise MissingGroundTruth("stop_tol needs a ground truth")
     if x_hat is not None:
         norm_hat = float(np.linalg.norm(x_hat))
+        if norm_hat == 0.0:     # every relative error divides by it
+            raise ZeroGroundTruth("the ground truth x_hat has norm 0")
         f_hat = bregman.f_value(x_hat, config.lam)
 
     quantile_bound = None

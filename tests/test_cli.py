@@ -334,6 +334,22 @@ def test_bad_corruption_setting_exits_1_naming_it(tmp_path, capsys, realdata_fil
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("how", ["generated", "bundle", "realdata"])
+def test_a_zero_ground_truth_exits_1_naming_it(tmp_path, capsys, how):
+    # every relative error divides by the norm of x_hat
+    bundle = str(tmp_path / "bundle")
+    assert run_cli(["generate", "--m", "30", "--n", "5", "--s", "0", "--out", bundle]) == 0
+    argv = {"generated": ["solve", "--m", "30", "--n", "5", "--s", "0", "--iters", "5"],
+            "bundle": ["solve", "--instance", bundle, "--iters", "5"],
+            "realdata": ["experiment", "realdata", "--matrix", f"{bundle}/A.mtx",
+                         "--xhat", f"{bundle}/xhat.mtx"]}[how]
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x_hat has norm 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["generate", "solve", "spectral", "experiment"])
 def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
     # PCG64 takes seeds >= 0: refused by argv and by a config file alike

@@ -198,7 +198,7 @@ def test_a_split_product_runs_on_the_pool_with_the_bits_of_one_call(
     v, x = rng.standard_normal(700), rng.standard_normal(160)
     assert np.array_equal(matrices._dense_product(A, v, transposed=True), v @ A)
     # five blocks of 32 columns, each taken once, by the caller's thread and
-    # the pool's
+    # the helpers'
     assert sorted(threads) == [0, 1, 2, 3, 4]
     assert threading.get_ident() in threads.values()
     assert len(set(threads.values())) >= 2
@@ -226,6 +226,62 @@ def test_a_helper_that_does_not_start_leaves_its_blocks_to_the_caller(
     assert np.isnan(got).all()
 
 
+def test_a_failed_split_product_waits_for_the_block_a_helper_holds(
+        split_everything, monkeypatch):
+    caller = threading.get_ident()
+    holder = threading.Lock()
+    held, failed, ended = threading.Event(), threading.Event(), threading.Event()
+    block_products = matrices._block_products
+
+    def failing(*args):
+        def on_thread(i, block):
+            if threading.get_ident() == caller:
+                # the caller's blocks fail while a helper holds one
+                assert held.wait(60.0), "no helper took a block"
+                failed.set()
+                raise RuntimeError(f"block {i}")
+            if not holder.acquire(blocking=False):
+                return block()           # a helper's other blocks run as usual
+            held.set()
+            try:
+                assert failed.wait(60.0), "the caller's block did not fail"
+                time.sleep(0.05)
+            finally:
+                ended.set()
+            raise RuntimeError(f"block {i}")
+        return [partial(on_thread, i, b) for i, b in enumerate(block_products(*args))]
+
+    monkeypatch.setattr(matrices, "_block_products", failing)
+    A = np.asfortranarray(rng.standard_normal((700, 160)))
+    with pytest.raises(RuntimeError, match="^block 0$"):
+        matrices._dense_product(A, rng.standard_normal(700), transposed=True)
+    # no thread writes into a product's out once it has raised
+    assert ended.is_set()
+
+
+def test_hand_out_to_no_helper_runs_every_job_on_the_caller(monkeypatch):
+    def no_helpers(count):
+        raise AssertionError("a hand-out asked for helpers")
+
+    monkeypatch.setattr(matrices, "_enough_helpers", no_helpers)
+    monkeypatch.setattr(matrices, "_JOBS", None)
+    threads = threading.active_count()
+    ran = []
+
+    def job(i):
+        ran.append((i, threading.get_ident()))
+        if i in (1, 2):
+            raise ValueError(f"job {i}")
+
+    finish = matrices._hand_out([partial(job, i) for i in range(4)], 0)
+    assert ran == []                     # nothing runs before finish()
+    exc = finish()
+    assert ran == [(i, threading.get_ident()) for i in range(4)]
+    assert isinstance(exc, ValueError) and str(exc) == "job 1"
+    assert matrices._hand_out([], 0)() is None
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("shape, layout, one_thread", [
     ((2000, 100), "F", True),            # desk scale, below the threshold
     ((1100, 1000), "C", True),           # above it, but row-major
@@ -233,11 +289,12 @@ def test_a_helper_that_does_not_start_leaves_its_blocks_to_the_caller(
 ])
 def test_a_product_that_is_not_split_starts_no_thread(monkeypatch, shape,
                                                       layout, one_thread):
-    def no_helpers(count):
-        raise AssertionError("a product asked for helpers")
+    def no_hand_out(jobs, helpers):
+        raise AssertionError("a product handed out blocks")
 
+    # only a hand-out asks for helper threads
     monkeypatch.setattr(matrices, "_MAY_SPLIT", one_thread)
-    monkeypatch.setattr(matrices, "_enough_helpers", no_helpers)
+    monkeypatch.setattr(matrices, "_hand_out", no_hand_out)
     A = np.asarray(rng.standard_normal(shape), order=layout)
     assert (A.size < matrices._SPLIT_MIN_ENTRIES) == (shape == (2000, 100))
     v, x = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
